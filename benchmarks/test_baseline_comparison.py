@@ -7,10 +7,11 @@ both on the very same instruction-fetch word streams as Figure 6 and
 compares; the application-specific encoding must win clearly on the
 data bus, while T0/Gray are reported for the (separate) address bus."""
 
-from repro.baselines.bus_invert import bus_invert_transitions
-from repro.baselines.frequency import FrequencyRemapper
-from repro.baselines.gray import gray_transitions
-from repro.baselines.t0 import raw_address_transitions, t0_transitions
+from repro.baselines.bus_invert import BusInvertEncoder
+from repro.baselines.frequency import FrequencyEncoder
+from repro.baselines.gray import GrayEncoder
+from repro.baselines.t0 import T0Encoder
+from repro.core.transitions import word_transitions
 from repro.workloads.registry import BENCHMARK_ORDER
 
 
@@ -29,13 +30,13 @@ def test_baseline_comparison(benchmark, figure6_results, record_result):
             program, trace = traces[name]
             words = _word_stream(program, trace)
             ours = results[name][5]
-            remapper = FrequencyRemapper(max_entries=64).fit(words)
+            dictionary = FrequencyEncoder(max_entries=64).fit(words)
             rows[name] = {
                 "baseline": ours.baseline_transitions,
                 "ours": ours.encoded_transitions,
-                "bus_invert": bus_invert_transitions(words),
-                "dictionary": remapper.transitions(words),
-                "dictionary_bits": remapper.dictionary_bits,
+                "bus_invert": BusInvertEncoder().transitions(words),
+                "dictionary": dictionary.transitions(words),
+                "dictionary_bits": dictionary.budget().table_bits,
             }
         return rows
 
@@ -73,8 +74,9 @@ def test_baseline_comparison(benchmark, figure6_results, record_result):
     lines += [
         "",
         "address-bus context (mmul trace): "
-        f"raw={raw_address_transitions(trace)}, "
-        f"t0={t0_transitions(trace)}, gray={gray_transitions(trace)}",
+        f"raw={word_transitions(trace)}, "
+        f"t0={T0Encoder().transitions(trace)}, "
+        f"gray={GrayEncoder().transitions([a // 4 for a in trace])}",
         "",
         "conclusion: the application-specific vertical encoding beats "
         "bus-invert on every benchmark.  The dictionary remapper "

@@ -7,9 +7,13 @@ asserts the headline speedups.  The harness itself cross-checks fast
 and reference outputs for bit-identity before timing, so a passing run
 certifies both correctness and throughput.
 
-The acceptance floor is 5x on both the encode and the decode paths;
-measured speedups on the development machine are 20-50x encode and
-11-36x decode (bitplane scan), so the margin absorbs noisy CI runners.
+The acceptance floor is 5x on both the encode and the decode paths.
+Encode rows time the compiled codebook against the reference
+``BlockSolver``; decode rows time the bitplane scan against the
+bit-serial oracle (``trace_decode``: the bulk walk against the
+per-fetch walk).  Measured speedups on the development machine are
+20-50x encode and 11-29x decode, so the margin absorbs noisy CI
+runners.
 """
 
 from pathlib import Path
@@ -24,7 +28,6 @@ SPEEDUP_FLOOR = 5.0
 DECODE_CASES = (
     "stream_decode_plan",
     "block_decode",
-    "stream_decode_table",
     "stream_decode_serial",
     "trace_decode",
 )

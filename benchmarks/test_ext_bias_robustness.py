@@ -13,7 +13,7 @@ This bench sweeps the bit-value bias of random streams and compares:
   paper warns about, at word granularity).
 """
 
-from repro.baselines.frequency import FrequencyRemapper
+from repro.baselines.frequency import FrequencyEncoder
 from repro.core.analysis import random_streams, summarize_streams
 
 BIASES = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -52,11 +52,11 @@ def test_ext_bias_robustness(benchmark, record_result):
     # program phase (one hot-word set), evaluate on another phase —
     # every lookup misses and the advantage evaporates.
     trained_on = _phase_stream(seed=1)
-    remapper = FrequencyRemapper(max_entries=32).fit(trained_on)
+    dictionary = FrequencyEncoder(max_entries=32).fit(trained_on)
 
     def _gain(words):
         raw = sum((a ^ b).bit_count() for a, b in zip(words, words[1:]))
-        return 100.0 * (raw - remapper.transitions(words)) / raw
+        return 100.0 * (raw - dictionary.transitions(words)) / raw
 
     matched_gain = _gain(trained_on)
     mismatched_gain = _gain(_phase_stream(seed=2))

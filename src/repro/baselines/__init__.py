@@ -36,14 +36,10 @@ from repro.baselines.protocol import (
     register_encoder,
     registered_schemes,
 )
-from repro.baselines.bus_invert import (
-    BusInvertCoder,
-    BusInvertEncoder,
-    bus_invert_transitions,
-)
-from repro.baselines.t0 import T0Coder, T0Encoder, t0_transitions
-from repro.baselines.gray import GrayEncoder, gray_decode, gray_encode, gray_transitions
-from repro.baselines.frequency import FrequencyEncoder, FrequencyRemapper
+from repro.baselines.bus_invert import BusInvertEncoder
+from repro.baselines.t0 import T0Encoder
+from repro.baselines.gray import GrayEncoder
+from repro.baselines.frequency import FrequencyEncoder
 from repro.baselines.memoryless import MemorylessCodebookEncoder
 from repro.baselines.lowweight import CODEWORDS, LowWeightCodeEncoder
 
@@ -57,17 +53,9 @@ __all__ = [
     "reference_transitions",
     "register_encoder",
     "registered_schemes",
-    "BusInvertCoder",
     "BusInvertEncoder",
-    "bus_invert_transitions",
-    "T0Coder",
     "T0Encoder",
-    "t0_transitions",
-    "gray_encode",
-    "gray_decode",
-    "gray_transitions",
     "GrayEncoder",
-    "FrequencyRemapper",
     "FrequencyEncoder",
     "MemorylessCodebookEncoder",
     "LowWeightCodeEncoder",

@@ -9,75 +9,9 @@ line itself, which we count, as the original paper does).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-
-@dataclass
-class BusInvertCoder:
-    """Stateful bus-invert encoder for a ``width``-bit bus."""
-
-    width: int = 32
-
-    def __post_init__(self) -> None:
-        self._mask = (1 << self.width) - 1
-        self.reset()
-
-    def reset(self, initial_word: int = 0) -> None:
-        self._bus = initial_word & self._mask
-        self._invert_line = 0
-        self.transitions = 0
-        self.transfers = 0
-
-    def send(self, word: int) -> tuple[int, int]:
-        """Encode one transfer; returns (driven word, invert bit) and
-        accumulates the transition count including the invert line."""
-        word &= self._mask
-        plain = (word ^ self._bus).bit_count()
-        inverted_word = word ^ self._mask
-        inverted = (inverted_word ^ self._bus).bit_count()
-        if inverted < plain:
-            driven, invert = inverted_word, 1
-            cost = inverted
-        else:
-            driven, invert = word, 0
-            cost = plain
-        cost += invert ^ self._invert_line
-        self.transitions += cost
-        self.transfers += 1
-        self._bus = driven
-        self._invert_line = invert
-        return driven, invert
-
-    def send_all(self, words: Iterable[int]) -> int:
-        """Encode a word sequence; returns total transitions."""
-        for word in words:
-            self.send(word)
-        return self.transitions
-
-    @staticmethod
-    def decode(driven: int, invert: int, width: int = 32) -> int:
-        """Receiver side: undo the optional inversion."""
-        mask = (1 << width) - 1
-        return (driven ^ mask) if invert else (driven & mask)
-
-
-def bus_invert_transitions(words: Sequence[int], width: int = 32) -> int:
-    """Transitions (bus lines + invert line) for a fetch word stream.
-
-    The first word is driven from an all-zero bus, mirroring how the
-    other counters in this package treat sequence starts; relative
-    comparisons are unaffected.
-    """
-    if not words:
-        return 0
-    coder = BusInvertCoder(width)
-    coder.reset(initial_word=words[0])
-    coder.send_all(words[1:])
-    return coder.transitions
-
-
-from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
+from repro.baselines.protocol import (
     EncodedStream,
     Encoder,
     HardwareBudget,
@@ -88,11 +22,12 @@ from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
 
 @register_encoder
 class BusInvertEncoder(Encoder):
-    """:class:`BusInvertCoder` behind the common Encoder protocol.
+    """Stateful bus-invert coder for a ``width``-bit bus.
 
     The invert line is packed into bit ``width`` of each driven value,
     so ``EncodedStream.transitions`` counts data-line and invert-line
-    toggles together, exactly as :func:`bus_invert_transitions` does.
+    toggles together.  The first word is driven plain: there is no
+    previous bus state to compare against.
     """
 
     scheme = "bus-invert"
@@ -106,19 +41,27 @@ class BusInvertEncoder(Encoder):
         stream = EncodedStream(self.scheme, self.width + 1)
         if not words:
             return stream
-        coder = BusInvertCoder(self.width)
-        coder.reset(initial_word=words[0])
-        stream.driven.append(words[0] & self._mask)
+        mask = self._mask
+        bus = words[0] & mask
+        stream.driven.append(bus)
         for word in words[1:]:
-            driven, invert = coder.send(word)
-            stream.driven.append((invert << self.width) | driven)
+            word &= mask
+            inverted = word ^ mask
+            # Invert only on a strict improvement (ties drive plain).
+            if (inverted ^ bus).bit_count() < (word ^ bus).bit_count():
+                bus = inverted
+                stream.driven.append((1 << self.width) | inverted)
+            else:
+                bus = word
+                stream.driven.append(word)
         return stream
 
     def decode(self, stream: EncodedStream) -> list[int]:
         out = []
         for packed in stream.driven:
+            driven = packed & self._mask
             invert = (packed >> self.width) & 1
-            out.append(BusInvertCoder.decode(packed & self._mask, invert, self.width))
+            out.append(driven ^ self._mask if invert else driven)
         return out
 
     def budget(self) -> HardwareBudget:
@@ -127,4 +70,22 @@ class BusInvertEncoder(Encoder):
 
 @register_reference_counter("bus-invert")
 def _bus_invert_reference(encoder: Encoder, words: Sequence[int]) -> int:
-    return bus_invert_transitions(list(words), encoder.width)
+    """Per-transfer cost from the Stan/Burleson rule: a transfer that
+    would toggle ``d > width/2`` data lines toggles ``width - d``
+    inverted instead, plus one toggle whenever the invert line changes."""
+    width = encoder.width
+    mask = (1 << width) - 1
+    total = 0
+    bus = None
+    invert_line = 0
+    for word in words:
+        word &= mask
+        if bus is None:
+            bus = word
+            continue
+        distance = bin(word ^ bus).count("1")
+        invert = 1 if 2 * distance > width else 0
+        total += (width - distance if invert else distance) + (invert ^ invert_line)
+        bus = ~word & mask if invert else word
+        invert_line = invert
+    return total

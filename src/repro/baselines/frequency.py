@@ -14,75 +14,10 @@ argues against, which the comparison benches quantify.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
-
-def _code_candidates(width: int, count: int) -> list[int]:
-    """``count`` code points with small mutual Hamming distances:
-    breadth-first by popcount (0, then weight-1 codes, ...)."""
-    codes: list[int] = []
-    weight = 0
-    while len(codes) < count:
-        codes.extend(
-            c for c in range(1 << min(width, 20)) if c.bit_count() == weight
-        )
-        weight += 1
-        if weight > min(width, 20):
-            raise ValueError("code space exhausted")
-    return codes[:count]
-
-
-@dataclass
-class FrequencyRemapper:
-    """A dictionary-based re-encoder for a closed set of words.
-
-    ``fit`` learns the mapping from a training trace; ``transitions``
-    evaluates a (possibly different) trace under it.  Words outside
-    the learned dictionary fall back to their original encoding, with
-    one extra *escape* line toggling (modelling the miss signal a real
-    implementation needs).
-    """
-
-    width: int = 32
-    max_entries: int = 256
-    mapping: dict[int, int] = field(default_factory=dict)
-
-    def fit(self, words: Sequence[int]) -> "FrequencyRemapper":
-        counts = Counter(words)
-        ranked = [w for w, _ in counts.most_common(self.max_entries)]
-        codes = _code_candidates(self.width, len(ranked))
-        self.mapping = dict(zip(ranked, codes))
-        return self
-
-    def encode(self, word: int) -> tuple[int, int]:
-        """Returns (driven word, escape bit)."""
-        code = self.mapping.get(word)
-        if code is None:
-            return word, 1
-        return code, 0
-
-    def transitions(self, words: Sequence[int]) -> int:
-        """Bus transitions (word lines + escape line) over a trace."""
-        total = 0
-        prev_word = None
-        prev_escape = 0
-        for word in words:
-            driven, escape = self.encode(word)
-            if prev_word is not None:
-                total += (driven ^ prev_word).bit_count()
-                total += escape ^ prev_escape
-            prev_word, prev_escape = driven, escape
-        return total
-
-    @property
-    def dictionary_bits(self) -> int:
-        """Storage the dictionary costs (the paper's Section 3
-        objection): two full words per entry."""
-        return len(self.mapping) * 2 * self.width
-
-
-from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
+from repro.baselines.protocol import (
     EncodedStream,
     Encoder,
     HardwareBudget,
@@ -90,15 +25,42 @@ from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
     register_reference_counter,
 )
 
+#: Code points come from the low ``min(width, 20)`` lines only.
+_CODE_LINES_MAX = 20
+
+
+def _code_candidates(width: int, count: int) -> list[int]:
+    """``count`` code points with small mutual Hamming distances:
+    breadth-first by popcount (0, then weight-1 codes, ...), ascending
+    within each weight."""
+    lines = min(width, _CODE_LINES_MAX)
+    if count > 1 << lines:
+        raise ValueError("code space exhausted")
+    codes: list[int] = []
+    weight = 0
+    while len(codes) < count:
+        codes.extend(
+            sorted(
+                sum(1 << line for line in chosen)
+                for chosen in combinations(range(lines), weight)
+            )
+        )
+        weight += 1
+    return codes[:count]
+
 
 @register_encoder
 class FrequencyEncoder(Encoder):
-    """:class:`FrequencyRemapper` behind the common Encoder protocol.
+    """A dictionary-based re-encoder for a closed set of words.
 
-    The escape line (asserted for words outside the learned
-    dictionary) is packed into bit ``width`` of each driven value.
-    Because of that extra line the scheme is a bus codec, not an
-    image-deployable recoder, even though its mapping is stateless.
+    ``fit`` ranks the distinct words of a training trace by frequency
+    and gives the most frequent the codes of smallest weight; encoding
+    a (possibly different) trace looks each word up.  Words outside
+    the learned dictionary are driven unchanged with an *escape* line
+    asserted (modelling the miss signal a real implementation needs),
+    packed into bit ``width`` of each driven value.  Because of that
+    extra line the scheme is a bus codec, not an image-deployable
+    recoder, even though its mapping is stateless.
     """
 
     scheme = "frequency"
@@ -108,19 +70,26 @@ class FrequencyEncoder(Encoder):
         self.width = width
         self.max_entries = max_entries
         self._mask = (1 << width) - 1
-        self._remapper = FrequencyRemapper(width=width, max_entries=max_entries)
+        #: learned dictionary: original word -> code point
+        self.mapping: dict[int, int] = {}
         self._inverse: dict[int, int] = {}
 
+    def _set_mapping(self, mapping: dict[int, int]) -> None:
+        self.mapping = mapping
+        self._inverse = {code: word for word, code in mapping.items()}
+
     def fit(self, words: Sequence[int]) -> "FrequencyEncoder":
-        self._remapper.fit(list(words))
-        self._inverse = {code: word for word, code in self._remapper.mapping.items()}
+        ranked = [w for w, _ in Counter(words).most_common(self.max_entries)]
+        self._set_mapping(dict(zip(ranked, _code_candidates(self.width, len(ranked)))))
         return self
 
     def encode(self, words: Sequence[int]) -> EncodedStream:
         stream = EncodedStream(self.scheme, self.width + 1)
+        escape = 1 << self.width
         for word in words:
-            driven, escape = self._remapper.encode(word & self._mask)
-            stream.driven.append((escape << self.width) | driven)
+            word &= self._mask
+            code = self.mapping.get(word)
+            stream.driven.append(escape | word if code is None else code)
         return stream
 
     def decode(self, stream: EncodedStream) -> list[int]:
@@ -135,7 +104,7 @@ class FrequencyEncoder(Encoder):
         return {
             "width": self.width,
             "max_entries": self.max_entries,
-            "mapping": sorted(self._remapper.mapping.items()),
+            "mapping": sorted(self.mapping.items()),
         }
 
     @classmethod
@@ -144,16 +113,33 @@ class FrequencyEncoder(Encoder):
             width=int(config.get("width", 32)),
             max_entries=int(config.get("max_entries", 256)),
         )
-        enc._remapper.mapping = {int(w): int(c) for w, c in config.get("mapping", [])}
-        enc._inverse = {code: word for word, code in enc._remapper.mapping.items()}
+        enc._set_mapping({int(w): int(c) for w, c in config.get("mapping", [])})
         return enc
 
     def budget(self) -> HardwareBudget:
+        """The dictionary costs two full words per entry — the paper's
+        Section 3 objection to dictionary techniques."""
         return HardwareBudget(
-            table_bits=self._remapper.dictionary_bits, extra_lines=1, stateful=False
+            table_bits=len(self.mapping) * 2 * self.width,
+            extra_lines=1,
+            stateful=False,
         )
 
 
 @register_reference_counter("frequency")
 def _frequency_reference(encoder: Encoder, words: Sequence[int]) -> int:
-    return encoder._remapper.transitions(list(words))
+    """Recount from the fitted dictionary alone: a hit toggles the
+    distance between consecutive driven values, and the escape line
+    toggles whenever a hit follows a miss or vice versa."""
+    mask = (1 << encoder.width) - 1
+    total = 0
+    previous_driven = previous_escape = None
+    for word in words:
+        word &= mask
+        escape = word not in encoder.mapping
+        driven = word if escape else encoder.mapping[word]
+        if previous_driven is not None:
+            total += bin(driven ^ previous_driven).count("1")
+            total += int(escape != previous_escape)
+        previous_driven, previous_escape = driven, escape
+    return total

@@ -2,38 +2,15 @@
 
 Consecutive integers differ in exactly one bit under Gray coding, so a
 perfectly sequential word-address stream toggles one line per fetch.
+On an address bus, recode the word index (``address // 4``), as a real
+implementation would.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-
-def gray_encode(value: int) -> int:
-    """Binary-reflected Gray code of ``value``."""
-    return value ^ (value >> 1)
-
-
-def gray_decode(code: int) -> int:
-    """Inverse of :func:`gray_encode`."""
-    value = 0
-    while code:
-        value ^= code
-        code >>= 1
-    return value
-
-
-def gray_transitions(addresses: Sequence[int], stride: int = 4) -> int:
-    """Address-bus transitions when word indices are Gray-coded.
-
-    Addresses are divided by ``stride`` first (word addressing), as a
-    real implementation would re-encode the word index.
-    """
-    codes = [gray_encode(a // stride) for a in addresses]
-    return sum((a ^ b).bit_count() for a, b in zip(codes, codes[1:]))
-
-
-from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
+from repro.baselines.protocol import (
     EncodedStream,
     Encoder,
     HardwareBudget,
@@ -59,10 +36,17 @@ class GrayEncoder(Encoder):
         self._mask = (1 << width) - 1
 
     def encode_word(self, word: int) -> int:
-        return gray_encode(word & self._mask)
+        """Binary-reflected Gray code of ``word``."""
+        word &= self._mask
+        return word ^ (word >> 1)
 
     def decode_word(self, word: int) -> int:
-        return gray_decode(word) & self._mask
+        """Prefix-XOR inverse of :meth:`encode_word`."""
+        value = 0
+        while word:
+            value ^= word
+            word >>= 1
+        return value & self._mask
 
     def encode(self, words: Sequence[int]) -> EncodedStream:
         return EncodedStream(

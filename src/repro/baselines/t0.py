@@ -8,71 +8,9 @@ increment line is asserted; otherwise the raw address is driven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-
-@dataclass
-class T0Coder:
-    """Stateful T0 encoder for an address bus."""
-
-    width: int = 32
-    stride: int = 4  # instruction word size
-
-    def __post_init__(self) -> None:
-        self._mask = (1 << self.width) - 1
-        self.reset()
-
-    def reset(self, initial_address: int = 0) -> None:
-        self._bus = initial_address & self._mask
-        self._expected = (initial_address + self.stride) & self._mask
-        self._inc_line = 0
-        self.transitions = 0
-        self.transfers = 0
-        self.frozen_transfers = 0
-
-    def send(self, address: int) -> tuple[int, int]:
-        """Encode one address; returns (bus value, increment bit)."""
-        address &= self._mask
-        if address == self._expected:
-            inc = 1
-            driven = self._bus  # bus frozen
-            self.frozen_transfers += 1
-        else:
-            inc = 0
-            driven = address
-        self.transitions += (driven ^ self._bus).bit_count()
-        self.transitions += inc ^ self._inc_line
-        self._bus = driven
-        self._inc_line = inc
-        self._expected = (address + self.stride) & self._mask
-        self.transfers += 1
-        return driven, inc
-
-    def send_all(self, addresses: Iterable[int]) -> int:
-        for address in addresses:
-            self.send(address)
-        return self.transitions
-
-
-def t0_transitions(addresses: Sequence[int], width: int = 32, stride: int = 4) -> int:
-    """Total transitions for an address stream under T0."""
-    if not addresses:
-        return 0
-    coder = T0Coder(width, stride)
-    coder.reset(initial_address=addresses[0])
-    coder.send_all(addresses[1:])
-    return coder.transitions
-
-
-def raw_address_transitions(addresses: Sequence[int]) -> int:
-    """Unencoded address-bus transitions (the T0 baseline's baseline)."""
-    return sum(
-        (a ^ b).bit_count() for a, b in zip(addresses, addresses[1:])
-    )
-
-
-from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
+from repro.baselines.protocol import (
     EncodedStream,
     Encoder,
     HardwareBudget,
@@ -83,7 +21,7 @@ from repro.baselines.protocol import (  # noqa: E402  (adapter after legacy API)
 
 @register_encoder
 class T0Encoder(Encoder):
-    """:class:`T0Coder` behind the common Encoder protocol.
+    """Stateful T0 coder for an address bus.
 
     The increment line is packed into bit ``width`` of each driven
     value.  Decoding is a stateful walk: when the increment bit is set
@@ -103,12 +41,19 @@ class T0Encoder(Encoder):
         stream = EncodedStream(self.scheme, self.width + 1)
         if not words:
             return stream
-        coder = T0Coder(self.width, self.stride)
-        coder.reset(initial_address=words[0])
-        stream.driven.append(words[0] & self._mask)
-        for word in words[1:]:
-            driven, inc = coder.send(word)
-            stream.driven.append((inc << self.width) | driven)
+        mask = self._mask
+        inc_bit = 1 << self.width
+        bus = words[0] & mask
+        expected = (bus + self.stride) & mask
+        stream.driven.append(bus)
+        for address in words[1:]:
+            address &= mask
+            if address == expected:
+                stream.driven.append(inc_bit | bus)  # bus frozen
+            else:
+                bus = address
+                stream.driven.append(address)
+            expected = (address + self.stride) & mask
         return stream
 
     def decode(self, stream: EncodedStream) -> list[int]:
@@ -139,4 +84,24 @@ class T0Encoder(Encoder):
 
 @register_reference_counter("t0")
 def _t0_reference(encoder: Encoder, words: Sequence[int]) -> int:
-    return t0_transitions(list(words), encoder.width, getattr(encoder, "stride", 4))
+    """Per-transfer recount: a sequential successor costs only the
+    increment line's toggle; any other address costs the distance from
+    the last *driven* address plus the increment line's toggle."""
+    mask = (1 << encoder.width) - 1
+    stride = getattr(encoder, "stride", 4)
+    total = 0
+    previous = driven = None
+    increment_line = 0
+    for address in words:
+        address &= mask
+        if previous is None:
+            previous = driven = address
+            continue
+        sequential = int(address == ((previous + stride) & mask))
+        if not sequential:
+            total += bin(address ^ driven).count("1")
+            driven = address
+        total += sequential ^ increment_line
+        increment_line = sequential
+        previous = address
+    return total

@@ -37,46 +37,32 @@ occupies bits ``[L*n, (L+1)*n)``) and decoded in a single scan — all
 lines of all words of a block per operation, instead of one bit of one
 line per Python loop iteration.
 
-Two interchangeable backends execute the scan:
+The scan runs on arbitrary-precision Python integers: CPython applies
+each bitwise operator to the whole operand in C, and at the operand
+sizes this codebase produces (a 5000-bit stream, a 32x64-bit
+lane-packed block) one big-int op beats a numpy pass, whose per-call
+dispatch dominates on such short arrays (measured ~5us vs ~80us per
+solve at 5000 bits).  numpy only accelerates the 32-bit word transpose
+(``packbits``/``unpackbits``); other bus widths take the pure-Python
+transpose.
 
-``bigint``
-    Arbitrary-precision Python integers (CPython runs the bitwise
-    operators over the whole operand in C).  The default: at the
-    operand sizes this codebase produces (a 5000-bit stream, a
-    32x64-bit lane-packed block) one big-int op on the whole operand
-    beats a numpy pass, whose per-call dispatch dominates on such
-    short arrays (measured ~5us vs ~80us per solve at 5000 bits).
-``numpy``
-    Operands live in little-endian ``uint64`` lane arrays; shifts are
-    word-rotations plus intra-word shifts.  Registered when numpy is
-    importable; numpy (when present) also accelerates the word
-    transpose via ``packbits``/``unpackbits`` regardless of the scan
-    backend.
-
-``REPRO_BITPLANE_BACKEND`` (or :func:`set_backend`) overrides the
-choice; ``tests/core/test_bitplane.py`` and the differential campaign
-cross-check the two backends and every decode entry point against the
-scalar paths.
+This is the one production decode engine.  Its oracle is the
+bit-serial recurrence :func:`repro.core.stream_codec.decode_bit_serial`;
+``tests/core/test_bitplane.py`` and the differential campaign
+cross-check every decode entry point against it.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as _np
 
 from repro.core.boolfunc import TT_X
 from repro.obs import OBS
 
-try:  # pragma: no cover - exercised both ways via the reload test
-    import numpy as _np
-except ImportError:  # pragma: no cover - no-numpy environments
-    _np = None
-
 __all__ = [
-    "available_backends",
-    "get_backend",
-    "set_backend",
     "solve_first_order",
     "decode_plan_bitplane",
     "decode_block_bitplane",
@@ -88,110 +74,24 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Backends: the doubling scan over one packed operand
+# The doubling scan over one packed operand
 # ----------------------------------------------------------------------
 
 
-class _BigIntBackend:
-    """Doubling scan on Python big ints (no third-party dependency)."""
-
-    name = "bigint"
-
-    @staticmethod
-    def solve(coeff: int, const: int, nbits: int) -> int:
-        mask = (1 << nbits) - 1
-        a = coeff & mask
-        b = const & mask
-        m = 1
-        while m < nbits:
-            b ^= (a & (b << m)) & mask
-            a &= (a << m) & mask
-            m <<= 1
-        return b & mask
-
-
-class _NumpyBackend:
-    """Doubling scan on little-endian ``uint64`` lane arrays."""
-
-    name = "numpy"
-
-    @staticmethod
-    def _shl(arr, shift: int):
-        """Shift a multi-word operand left by ``shift`` bits."""
-        nwords = arr.shape[0]
-        word_shift, bit_shift = divmod(shift, 64)
-        out = _np.zeros_like(arr)
-        if word_shift >= nwords:
-            return out
-        if bit_shift == 0:
-            out[word_shift:] = arr[: nwords - word_shift]
-        else:
-            out[word_shift:] = arr[: nwords - word_shift] << _np.uint64(
-                bit_shift
-            )
-            out[word_shift + 1 :] |= arr[: nwords - word_shift - 1] >> (
-                _np.uint64(64 - bit_shift)
-            )
-        return out
-
-    @classmethod
-    def solve(cls, coeff: int, const: int, nbits: int) -> int:
-        mask = (1 << nbits) - 1
-        nbytes = ((nbits + 63) // 64) * 8
-        a = _np.frombuffer(
-            (coeff & mask).to_bytes(nbytes, "little"), dtype="<u8"
-        ).copy()
-        b = _np.frombuffer(
-            (const & mask).to_bytes(nbytes, "little"), dtype="<u8"
-        ).copy()
-        m = 1
-        while m < nbits:
-            b ^= a & cls._shl(b, m)
-            a &= cls._shl(a, m)
-            m <<= 1
-        return int.from_bytes(b.tobytes(), "little") & mask
-
-
-_BACKENDS: dict[str, type] = {"bigint": _BigIntBackend}
-if _np is not None:
-    _BACKENDS["numpy"] = _NumpyBackend
-
-#: Active backend: big-int (faster at this codebase's operand sizes —
-#: see the module docstring — and dependency-free);
-#: ``REPRO_BITPLANE_BACKEND`` overrides (unknown names fall back).
-_ACTIVE: type = _BACKENDS.get(
-    os.environ.get("REPRO_BITPLANE_BACKEND", ""), _BACKENDS["bigint"]
-)
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend() -> str:
-    return _ACTIVE.name
-
-
-def set_backend(name: str) -> None:
-    """Select the scan backend process-wide (tests compare the two)."""
-    global _ACTIVE
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown bitplane backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        )
-    _ACTIVE = _BACKENDS[name]
-
-
-def solve_first_order(
-    coeff: int, const: int, nbits: int, backend: str | None = None
-) -> int:
+def solve_first_order(coeff: int, const: int, nbits: int) -> int:
     """Solve ``d[p] = const[p] ^ (coeff[p] & d[p-1])`` over ``nbits``
     packed positions (``d[-1] = 0``) with the doubling scan."""
     if nbits <= 0:
         return 0
-    solver = _BACKENDS[backend] if backend is not None else _ACTIVE
-    return solver.solve(coeff, const, nbits)
+    mask = (1 << nbits) - 1
+    a = coeff & mask
+    b = const & mask
+    m = 1
+    while m < nbits:
+        b ^= (a & (b << m)) & mask
+        a &= (a << m) & mask
+        m <<= 1
+    return b & mask
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +132,7 @@ def _plan_planes(
     Position 0 (and every disjoint segment start) carries the identity
     tau; each segment's *body* (positions ``start+1 .. start+len-1``)
     carries that segment's tau — exactly the per-position protocol of
-    :func:`repro.core.fastpath.decode_plan_int`.
+    :func:`repro.core.stream_codec.decode_bit_serial`.
     """
     arr = bytearray(length)
     arr[0] = TT_X
@@ -294,14 +194,13 @@ def decode_plan_bitplane(
     bounds: Sequence[tuple[int, int]],
     transformations: Sequence,
     overlapped: bool = True,
-    backend: str | None = None,
     truth_tables: tuple[int, ...] | None = None,
 ) -> int:
-    """Vectorized equivalent of
-    :func:`repro.core.fastpath.decode_plan_int`: one doubling scan
-    instead of a per-segment Python loop.  Bit-identical by
-    construction (the differential campaign and the k=4..7 sweeps
-    machine-check this against the table and bit-serial paths).
+    """Decode one packed stream from its segment bounds and tau plan:
+    one doubling scan instead of a bit-serial Python loop.
+    Bit-identical to :func:`repro.core.stream_codec.decode_bit_serial`
+    by construction (the differential campaign and the k=4..7 sweeps
+    machine-check this).
 
     A caller that already holds the per-segment truth tables (e.g. a
     :class:`~repro.core.stream_codec.StreamEncoding` from the compiled
@@ -317,12 +216,11 @@ def decode_plan_bitplane(
         truth_tables = tuple(t.func.truth_table for t in transformations)
     planes = _plan_planes(length, tuple(bounds), truth_tables, overlapped)
     coeff, const = _masks_to_recurrence(planes, encoded_int, length)
-    decoded = solve_first_order(coeff, const, length, backend)
+    decoded = solve_first_order(coeff, const, length)
     if OBS.enabled:
         OBS.registry.counter(
             "codec.bitplane_streams_decoded",
             "vertical bit streams decoded through the bitplane scan",
-            backend=(backend or _ACTIVE.name),
         ).inc()
     return decoded
 
@@ -339,7 +237,7 @@ def transpose_words(words: Sequence[int], width: int = 32) -> int:
     n = len(words)
     if n == 0:
         return 0
-    if _np is not None and width == 32:
+    if width == 32:
         arr = _np.asarray(words, dtype="<u4")
         bits = _np.unpackbits(
             arr.view(_np.uint8), bitorder="little"
@@ -362,7 +260,7 @@ def untranspose_words(packed: int, length: int, width: int = 32) -> list[int]:
     """Inverse of :func:`transpose_words`."""
     if length == 0:
         return []
-    if _np is not None and width == 32:
+    if width == 32:
         total = 32 * length
         data = packed.to_bytes((total + 7) // 8, "little")
         bits = _np.unpackbits(
@@ -384,7 +282,6 @@ def decode_block_bitplane(
     plans: Sequence[Sequence[int]],
     width: int = 32,
     overlapped: bool = True,
-    backend: str | None = None,
 ) -> list[int]:
     """Decode a whole basic block in one lane-packed scan.
 
@@ -406,19 +303,17 @@ def decode_block_bitplane(
     )
     packed = transpose_words(encoded_words, width)
     coeff, const = _masks_to_recurrence(planes, packed, width * n)
-    decoded = solve_first_order(coeff, const, width * n, backend)
+    decoded = solve_first_order(coeff, const, width * n)
     words = untranspose_words(decoded, n, width)
     if OBS.enabled:
         registry = OBS.registry
         registry.counter(
             "codec.bitplane_blocks_decoded",
             "basic blocks decoded through the lane-packed bitplane scan",
-            backend=(backend or _ACTIVE.name),
         ).inc()
         registry.counter(
             "codec.bitplane_words_decoded",
             "instruction words decoded through the bitplane scan",
-            backend=(backend or _ACTIVE.name),
         ).inc(n)
     return words
 

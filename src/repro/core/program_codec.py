@@ -12,7 +12,9 @@ Encoding defaults to the compiled codebook fast path: columns are
 extracted from the word list with shift/mask loops into Python ints
 and each block is one table lookup (:mod:`repro.core.fastpath`).
 ``use_codebook=False`` selects the seed per-block solver; the two are
-bit-identical.  :func:`encode_basic_blocks` batches independent basic
+bit-identical.  :func:`decode_basic_block` restores a block through the
+lane-packed bitplane scan; :func:`decode_basic_block_bit_serial` is its
+per-line oracle.  :func:`encode_basic_blocks` batches independent basic
 blocks and can fan them across a ``ProcessPoolExecutor`` for
 whole-program encoding (``parallel=N``).
 """
@@ -37,8 +39,9 @@ from repro.core.fastpath import (
 from repro.core.stream_codec import (
     STRATEGIES,
     StreamEncoder,
+    _plan_bounds,
     _segment_bounds_cached,
-    decode_with_plan,
+    decode_bit_serial,
     segment_bounds,
 )
 from repro.core.transformations import OPTIMAL_SET, Transformation
@@ -305,45 +308,35 @@ def encode_basic_blocks(
     ]
 
 
-def decode_basic_block(
-    encoding: BlockEncoding,
-    use_tables: bool = True,
-    use_bitplane: bool | None = None,
-) -> list[int]:
+def decode_basic_block(encoding: BlockEncoding) -> list[int]:
     """Restore the original instruction words from a
-    :class:`BlockEncoding` (software mirror of the fetch hardware).
-
-    The default decodes all ``width`` vertical streams concurrently
-    through the lane-packed bitplane scan; ``use_bitplane=False``
-    selects the per-line scalar paths (suffix tables or the bit-serial
-    reference, per ``use_tables``).  All paths are bit-identical.
-    """
+    :class:`BlockEncoding` (software mirror of the fetch hardware):
+    all ``width`` vertical streams decode concurrently through the
+    lane-packed bitplane scan."""
     if not encoding.encoded_words:
         return []
-    if use_bitplane is None:
-        use_bitplane = use_tables
-    if use_bitplane:
-        length = len(encoding.encoded_words)
-        bounds = _segment_bounds_cached(length, encoding.block_size, True)
-        if len(bounds) != len(encoding.segment_plans):
-            raise ValueError(
-                f"plan length {len(encoding.segment_plans)} does not match "
-                f"{len(bounds)} blocks for a stream of {length} bits"
-            )
-        plans = tuple(
-            tuple(transformation.func.truth_table for transformation in plan)
-            for plan in encoding.segment_plans
+    length = len(encoding.encoded_words)
+    bounds = _plan_bounds(
+        length, encoding.block_size, True, len(encoding.segment_plans)
+    )
+    plans = tuple(
+        tuple(transformation.func.truth_table for transformation in plan)
+        for plan in encoding.segment_plans
+    )
+    return bitplane.decode_block_bitplane(
+        encoding.encoded_words, bounds, plans, width=encoding.width
+    )
+
+
+def decode_basic_block_bit_serial(encoding: BlockEncoding) -> list[int]:
+    """Oracle for :func:`decode_basic_block`: every bus line restored
+    on its own through :func:`~repro.core.stream_codec.decode_bit_serial`."""
+    columns = [
+        decode_bit_serial(
+            word_column(encoding.encoded_words, line),
+            encoding.block_size,
+            [plan[line] for plan in encoding.segment_plans],
         )
-        return bitplane.decode_block_bitplane(
-            encoding.encoded_words, bounds, plans, width=encoding.width
-        )
-    decoded_columns = []
-    for line in range(encoding.width):
-        stored = word_column(encoding.encoded_words, line)
-        plan = [plan[line] for plan in encoding.segment_plans]
-        decoded_columns.append(
-            decode_with_plan(
-                stored, encoding.block_size, plan, use_tables=use_tables
-            )
-        )
-    return columns_to_words(decoded_columns)
+        for line in range(encoding.width)
+    ]
+    return columns_to_words(columns)

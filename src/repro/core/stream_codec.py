@@ -28,6 +28,11 @@ streams are packed into Python ints and each block resolves to one
 table lookup.  ``use_codebook=False`` selects the seed reference
 implementation that calls :class:`BlockSolver` per block; the two are
 cross-validated bit-for-bit in ``tests/core/test_fastpath.py``.
+
+Decoding has one engine and one oracle: :func:`decode_stream` and
+:func:`decode_with_plan` run the bitplane doubling scan
+(:mod:`repro.core.bitplane`), and :func:`decode_bit_serial` spells out
+the paper's recurrence bit by bit for the checks to compare against.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from repro.core.bitstream import (
 from repro.core.block_solver import BlockSolver
 from repro.core.fastpath import (
     CompiledCodebook,
-    decode_plan_int,
     encode_disjoint_int,
     encode_greedy_int,
     encode_optimal_int,
@@ -402,131 +406,108 @@ def encode_stream(
     return encoder.encode(stream)
 
 
-def decode_stream(
-    encoding: StreamEncoding,
-    use_tables: bool = True,
-    use_bitplane: bool | None = None,
+def _plan_bounds(
+    length: int, block_size: int, overlapped: bool, plan_length: int
+) -> tuple[tuple[int, int], ...]:
+    """The segment bounds of a ``length``-bit stream, checked against
+    the number of per-segment transformations the caller supplied."""
+    if block_size < 2:
+        raise ValueError(f"block size must be >= 2, got {block_size}")
+    bounds = _segment_bounds_cached(length, block_size, overlapped)
+    if len(bounds) != plan_length:
+        raise ValueError(
+            f"plan length {plan_length} does not match "
+            f"{len(bounds)} blocks for a stream of {length} bits"
+        )
+    return bounds
+
+
+def decode_bit_serial(
+    encoded: Sequence[int],
+    block_size: int,
+    transformations: Sequence[Transformation],
+    overlapped: bool = True,
 ) -> list[int]:
-    """Decode a :class:`StreamEncoding`.
+    """The decode oracle: the paper's recurrence, one bit at a time.
+
+    The stream's first bit passes through unchanged; every later
+    position ``p`` restores as ``d[p] = tau(e[p], d[p-1])`` with
+    ``tau`` the transformation of the segment covering ``p``.  Under
+    the disjoint layout every segment start re-anchors instead.  Kept
+    deliberately naive: the bitplane engine behind :func:`decode_stream`,
+    :func:`decode_with_plan` and the block decoder is checked against
+    it by the tests and the differential verify campaign.
+    """
+    encoded = validate_bits(encoded)
+    bounds = _plan_bounds(
+        len(encoded), block_size, overlapped, len(transformations)
+    )
+    decoded = encoded[:1]
+    for (start, seg_len), transformation in zip(bounds, transformations):
+        if not overlapped and start != 0:
+            decoded.append(encoded[start])  # each disjoint block re-anchors
+        for pos in range(start + 1, start + seg_len):
+            decoded.append(transformation(encoded[pos], decoded[pos - 1]))
+    return decoded
+
+
+def decode_stream(encoding: StreamEncoding) -> list[int]:
+    """Decode a :class:`StreamEncoding` through the bitplane scan.
 
     Mirrors the hardware: the stream's first bit passes through
     unchanged; every later bit is ``tau(stored, previous_decoded)``
     with ``tau`` selected by the segment covering that position.
-
-    Three bit-identical implementations back the contract.  The
-    default routes through the vectorized bitplane scan
-    (:mod:`repro.core.bitplane`); ``use_bitplane=False`` selects the
-    scalar paths, where ``use_tables`` picks the compiled suffix-table
-    decode (``True``) or the reference bit-serial loop (``False``).
+    Raises :class:`ValueError` when the encoding's segments do not
+    tile its stream.
     """
-    if not encoding.encoded:
+    length = len(encoding.encoded)
+    bounds = _plan_bounds(
+        length, encoding.block_size, encoding.overlapped, len(encoding.segments)
+    )
+    if any(
+        (segment.start, segment.length) != bound
+        for segment, bound in zip(encoding.segments, bounds)
+    ):
+        raise ValueError(
+            f"segments of a {length}-bit stream do not match its "
+            f"k={encoding.block_size} segmentation"
+        )
+    if not length:
         return []
-    if use_bitplane is None:
-        use_bitplane = use_tables
-    if use_bitplane:
-        # Segmentation is a pure function of (length, k, overlap), so
-        # the cached uniform bounds are exactly this encoding's layout;
-        # fast-path encodings carry their packed bits and truth tables
-        # already, reference-path ones re-derive both here.
-        length = len(encoding.encoded)
-        packed = encoding.encoded_int
-        if packed is None:
-            packed, length = bitplane.pack_validated(encoding.encoded)
-        truth_tables = encoding.truth_tables
-        if truth_tables is None:
-            truth_tables = tuple(
-                s.transformation.func.truth_table for s in encoding.segments
-            )
-        decoded_int = bitplane.decode_plan_bitplane(
-            packed,
-            length,
-            _segment_bounds_cached(
-                length, encoding.block_size, encoding.overlapped
-            ),
-            (),
-            encoding.overlapped,
-            truth_tables=truth_tables,
+    # Fast-path encodings carry their packed bits and truth tables
+    # already; reference-path ones re-derive both here.
+    packed = encoding.encoded_int
+    if packed is None:
+        packed, length = bitplane.pack_validated(encoding.encoded)
+    truth_tables = encoding.truth_tables
+    if truth_tables is None:
+        truth_tables = tuple(
+            s.transformation.func.truth_table for s in encoding.segments
         )
-        return bitplane.bits_list(decoded_int, length)
-    encoded = list(encoding.encoded)
-    if use_tables:
-        bounds = tuple((s.start, s.length) for s in encoding.segments)
-        decoded_int = decode_plan_int(
-            pack_bits(encoded),
-            len(encoded),
-            bounds,
-            [s.transformation for s in encoding.segments],
-            encoding.overlapped,
-        )
-        return list(unpack_bits(decoded_int, len(encoded)))
-    decoded: list[int] = [encoded[0]]
-    if encoding.overlapped:
-        for segment in encoding.segments:
-            for pos in range(segment.start + 1, segment.end):
-                decoded.append(
-                    segment.transformation(encoded[pos], decoded[pos - 1])
-                )
-    else:
-        for segment in encoding.segments:
-            for pos in range(segment.start, segment.end):
-                if pos == segment.start:
-                    if pos != 0:
-                        decoded.append(encoded[pos])  # each block re-anchors
-                else:
-                    decoded.append(
-                        segment.transformation(encoded[pos], decoded[pos - 1])
-                    )
-    return decoded
+    decoded_int = bitplane.decode_plan_bitplane(
+        packed,
+        length,
+        bounds,
+        (),
+        encoding.overlapped,
+        truth_tables=truth_tables,
+    )
+    return bitplane.bits_list(decoded_int, length)
 
 
 def decode_with_plan(
     encoded: Sequence[int],
     block_size: int,
     transformations: Sequence[Transformation],
-    use_tables: bool = True,
-    use_bitplane: bool | None = None,
 ) -> list[int]:
     """Decode from raw materials (stored bits + per-block tau plan) —
-    exactly the information a Transformation Table holds.
-
-    Defaults to the vectorized bitplane scan; ``use_bitplane=False``
-    selects the scalar suffix-table (``use_tables=True``) or bit-serial
-    (``use_tables=False``) path.  All three are bit-identical.
-    """
-    if use_bitplane is None:
-        use_bitplane = use_tables
-    if use_bitplane:
-        packed, length = bitplane.pack_validated(encoded)
-        if block_size < 2:
-            raise ValueError(f"block size must be >= 2, got {block_size}")
-        bounds = _segment_bounds_cached(length, block_size, True)
-        if len(bounds) != len(transformations):
-            raise ValueError(
-                f"plan length {len(transformations)} does not match "
-                f"{len(bounds)} blocks for a stream of {length} bits"
-            )
-        if length == 0:
-            return []
-        decoded_int = bitplane.decode_plan_bitplane(
-            packed, length, bounds, transformations, True
-        )
-        return bitplane.bits_list(decoded_int, length)
-    encoded = validate_bits(encoded)
-    bounds = segment_bounds(len(encoded), block_size, overlapped=True)
-    if len(bounds) != len(transformations):
-        raise ValueError(
-            f"plan length {len(transformations)} does not match "
-            f"{len(bounds)} blocks for a stream of {len(encoded)} bits"
-        )
-    if not encoded:
+    exactly the information a Transformation Table holds — through the
+    bitplane scan."""
+    packed, length = bitplane.pack_validated(encoded)
+    bounds = _plan_bounds(length, block_size, True, len(transformations))
+    if length == 0:
         return []
-    if use_tables:
-        decoded_int = decode_plan_int(
-            pack_bits(encoded), len(encoded), bounds, transformations, True
-        )
-        return list(unpack_bits(decoded_int, len(encoded)))
-    decoded = [encoded[0]]
-    for (start, seg_len), transformation in zip(bounds, transformations):
-        for pos in range(start + 1, start + seg_len):
-            decoded.append(transformation(encoded[pos], decoded[pos - 1]))
-    return decoded
+    decoded_int = bitplane.decode_plan_bitplane(
+        packed, length, bounds, transformations, True
+    )
+    return bitplane.bits_list(decoded_int, length)

@@ -520,7 +520,6 @@ class FetchDecoder:
         addresses: list[int],
         stored_image_lookup,
         finalize: bool = False,
-        use_bitplane: bool = True,
     ) -> list[int]:
         """Decode a full fetch trace.  ``stored_image_lookup`` maps a
         PC to the stored (possibly encoded) word.  ``finalize=True``
@@ -533,9 +532,11 @@ class FetchDecoder:
         irregular — partial occurrences, BBIT misses, mid-block
         entries — falls back to :meth:`fetch` so protocol faults and
         table integrity errors surface exactly as they would
-        instruction by instruction.  ``use_bitplane=False`` (and the
-        recover/degraded modes, whose per-fetch fault contracts are the
-        point) force the scalar walk.  Architectural counters
+        instruction by instruction.  The recover/degraded modes, whose
+        per-fetch fault contracts are the point, and mixed-scheme
+        traces run the per-fetch walk throughout; a caller who wants
+        that walk in strict mode calls :meth:`fetch` in a loop.
+        Architectural counters
         (``decoded_instructions``, ``tt_reads``, BBIT probes) are kept
         identical on both paths; only the *internal* table-row read
         volume differs (the bulk path reads each TT row once per block
@@ -548,8 +549,7 @@ class FetchDecoder:
             "decoder.decode_trace", mode=self.mode, fetches=len(addresses)
         ):
             if (
-                use_bitplane
-                and self.mode == "strict"
+                self.mode == "strict"
                 and not self.degraded_region
                 # mixed-scheme traces interleave zoo regions with TT
                 # blocks; the scalar walk owns that dispatch.

@@ -4,7 +4,8 @@ Measures the hot encode/decode paths on the same workloads
 ``benchmarks/test_perf_components.py`` uses (a 5000-bit random stream,
 a 64-word basic block; seed 1234) and reports streams/s, words/s,
 bits/s and the speedup of the compiled codebook fast path over the
-seed :class:`~repro.core.block_solver.BlockSolver` reference.  Results
+seed :class:`~repro.core.block_solver.BlockSolver` reference (and of
+the bitplane decoder over the bit-serial decode oracle).  Results
 are written to ``BENCH_codec.json`` so the performance trajectory is
 tracked across PRs (CI uploads the file as an artifact; ``repro
 bench`` produces it locally).
@@ -24,10 +25,12 @@ from typing import Callable, Sequence
 
 from repro.core.program_codec import (
     decode_basic_block,
+    decode_basic_block_bit_serial,
     encode_basic_block,
 )
 from repro.core.stream_codec import (
     StreamEncoder,
+    decode_bit_serial,
     decode_stream,
     decode_with_plan,
 )
@@ -158,8 +161,8 @@ def _trace_decode_case(
     basic blocks encoded and patched into the program image exactly as
     :class:`~repro.pipeline.flow.EncodingFlow` deploys them, then the
     *actual* simulator fetch trace replayed through the decoder.  The
-    reference is the same engine forced onto the per-fetch walk
-    (``use_bitplane=False``); the bulk path's per-trace block
+    reference is the same engine's per-fetch :meth:`FetchDecoder.fetch`
+    walk; the bulk path's per-trace block
     memoization is in play, as it is in production, because a real
     trace re-fetches its hot loops."""
     from repro.cfg.graph import ControlFlowGraph
@@ -211,15 +214,15 @@ def _trace_decode_case(
     base = program.text_base
     fetches = list(trace)
 
-    def _decode(use_bitplane: bool) -> list[int]:
+    def _decode(bulk: bool) -> list[int]:
         decoder = FetchDecoder(
             tt, bbit, block_size, encoded_region=encoded_region
         )
-        return decoder.decode_trace(
-            fetches,
-            lambda pc: image[(pc - base) >> 2],
-            use_bitplane=use_bitplane,
-        )
+        if bulk:
+            return decoder.decode_trace(
+                fetches, lambda pc: image[(pc - base) >> 2]
+            )
+        return [decoder.fetch(pc, image[(pc - base) >> 2]) for pc in fetches]
 
     if _decode(True) != _decode(False):
         raise RuntimeError(
@@ -377,11 +380,12 @@ def run_codec_benchmarks(
     stream_encoding = StreamEncoder(block_size).encode(stream)
     plan = stream_encoding.transformations()
     stored = list(stream_encoding.encoded)
-    if decode_with_plan(stored, block_size, plan) != decode_with_plan(
-        stored, block_size, plan, use_tables=False
+    if decode_with_plan(stored, block_size, plan) != decode_bit_serial(
+        stored, block_size, plan
     ):
         raise RuntimeError(
-            "decode_with_plan: table decode diverged from the reference"
+            "decode_with_plan: bitplane decode diverged from the "
+            "bit-serial oracle"
         )
     cases.append(
         BenchCase(
@@ -389,9 +393,7 @@ def run_codec_benchmarks(
             unit="bits",
             units_per_run=stream_length,
             reference_seconds=_best_time(
-                lambda: decode_with_plan(
-                    stored, block_size, plan, use_tables=False
-                ),
+                lambda: decode_bit_serial(stored, block_size, plan),
                 repeats,
                 "bench.stream_decode_plan.reference",
             ),
@@ -403,11 +405,12 @@ def run_codec_benchmarks(
         )
     )
 
-    if decode_basic_block(encoding) != decode_basic_block(
-        encoding, use_tables=False
+    if decode_basic_block(encoding) != decode_basic_block_bit_serial(
+        encoding
     ):
         raise RuntimeError(
-            "block_decode: table decode diverged from the reference"
+            "block_decode: bitplane decode diverged from the bit-serial "
+            "oracle"
         )
     cases.append(
         BenchCase(
@@ -415,7 +418,7 @@ def run_codec_benchmarks(
             unit="words",
             units_per_run=num_words,
             reference_seconds=_best_time(
-                lambda: decode_basic_block(encoding, use_tables=False),
+                lambda: decode_basic_block_bit_serial(encoding),
                 repeats,
                 "bench.block_decode.reference",
             ),
@@ -427,47 +430,29 @@ def run_codec_benchmarks(
         )
     )
 
-    # Per-path decode cases: the same encoded stream through each
-    # scalar decoder as its own reference, with the bitplane doubling
-    # scan as the fast path, so BENCH_codec.json tracks the decode
-    # trajectory per-path (not just the plan aggregate above).
-    decoded_bitplane = decode_stream(stream_encoding)
-    if decoded_bitplane != stream or decoded_bitplane != decode_stream(
-        stream_encoding, use_bitplane=False
-    ):
-        raise RuntimeError(
-            "stream_decode_table: bitplane decode diverged from the "
-            "suffix-table decode"
+    # The stream entry point (which also checks the segment layout)
+    # against the bit-serial oracle on the same encoded stream.
+    def _serial_stream() -> list[int]:
+        return decode_bit_serial(
+            stream_encoding.encoded,
+            block_size,
+            plan,
+            stream_encoding.overlapped,
         )
-    if decoded_bitplane != decode_stream(stream_encoding, use_tables=False):
+
+    decoded_bitplane = decode_stream(stream_encoding)
+    if decoded_bitplane != stream or decoded_bitplane != _serial_stream():
         raise RuntimeError(
             "stream_decode_serial: bitplane decode diverged from the "
-            "bit-serial decode"
+            "bit-serial oracle"
         )
-    cases.append(
-        BenchCase(
-            name="stream_decode_table",
-            unit="bits",
-            units_per_run=stream_length,
-            reference_seconds=_best_time(
-                lambda: decode_stream(stream_encoding, use_bitplane=False),
-                repeats,
-                "bench.stream_decode_table.reference",
-            ),
-            fast_seconds=_best_time(
-                lambda: decode_stream(stream_encoding),
-                repeats,
-                "bench.stream_decode_table.fast",
-            ),
-        )
-    )
     cases.append(
         BenchCase(
             name="stream_decode_serial",
             unit="bits",
             units_per_run=stream_length,
             reference_seconds=_best_time(
-                lambda: decode_stream(stream_encoding, use_tables=False),
+                _serial_stream,
                 repeats,
                 "bench.stream_decode_serial.reference",
             ),

@@ -1,15 +1,15 @@
-"""Differential verification: every decode path against every other.
+"""Differential verification: each production path against its oracle.
 
-The encoder/decoder stack deliberately keeps redundant implementations
-of one contract — a reference :class:`BlockSolver`, the compiled
-integer fast path, suffix-table vs bit-serial decode, and the
-behavioural :class:`FetchDecoder` in three fault-handling modes.  This
-package turns that redundancy into a harness: seeded randomised inputs
-(streams, synthetic programs, corrupted table states) plus exhaustive
-per-block-size sweeps run through *all* paths, demanding bit-identical
-agreement, with divergences shrunk into replayable counterexamples and
-the verdict qualified by behaviour-space coverage
-(``VERIFY_report.json``).  ``repro verify`` is the CLI front end.
+The encoder/decoder stack keeps one independent oracle per contract —
+a reference :class:`BlockSolver` for the compiled integer encoder, the
+bit-serial recurrence for the bitplane decoder, and the per-fetch
+:class:`FetchDecoder` walk (in three fault-handling modes) for the bulk
+trace decoder.  This package turns that redundancy into a harness:
+seeded randomised inputs (streams, synthetic programs, corrupted table
+states) plus exhaustive per-block-size sweeps run through both sides,
+demanding bit-identical agreement, with divergences shrunk into
+replayable counterexamples and the verdict qualified by behaviour-space
+coverage (``VERIFY_report.json``).  ``repro verify`` is the CLI front end.
 """
 
 from repro.verify.campaign import (

@@ -1,26 +1,27 @@
-"""Differential checks: every decode path against every other.
+"""Differential checks: each production path against its oracle.
 
-Each check runs one input through all independent implementations of
-the same contract and demands bit-identical agreement:
+Each check runs one input through the production implementation and an
+independent oracle of the same contract and demands bit-identical
+agreement:
 
 * stream level — compiled fast path vs reference :class:`BlockSolver`
-  encode, then bitplane vs suffix-table vs bit-serial decode (plus the
-  plan-based variants of all three, and every available bitplane
-  backend) (:func:`check_stream`);
-* program level — vertical fast/reference block encode, bitplane /
-  table / bit-serial block decode, the behavioural
+  encode, then the bitplane decode (stream and plan entry points) vs
+  the bit-serial oracle :func:`decode_bit_serial` (:func:`check_stream`);
+* program level — vertical fast/reference block encode, bitplane
+  block decode vs its per-line bit-serial oracle, the behavioural
   :class:`FetchDecoder` in strict, recover and degraded modes against
   the golden words, and the bulk ``decode_trace`` bitplane walk
-  against the per-fetch walk (:func:`check_program`);
+  against the per-fetch :meth:`FetchDecoder.fetch` walk
+  (:func:`check_program`);
 * table-state level — seeded SEC-DED corruption of live TT/BBIT rows,
   checking each decoder mode's *exact* contractual output: strict
   raises, recover serves the documented pass-through region, degraded
   stays bit-identical to the golden image (:func:`check_tables`);
 * exhaustive sweeps — every codebook entry for a block size against
-  the reference solver plus all three decode paths
-  (:func:`sweep_codebook`), and every τ selector's decode tables
-  against the bit-serial recurrence, the bitplane doubling scan and
-  the hardware :class:`TTEntry` gate model (:func:`sweep_tau`), in the
+  the reference solver plus both decode directions
+  (:func:`sweep_codebook`), and every τ selector's bitplane doubling
+  scan against the bit-serial recurrence, plus the hardware
+  :class:`TTEntry` gate model (:func:`sweep_tau`), in the
   exhaustive-enumeration spirit of the bus-encoding literature.
 
 Checks never raise on divergence — they return a
@@ -38,10 +39,11 @@ from repro.core.block_solver import BlockSolver
 from repro.core.bitstream import pack_bits
 from repro.core.program_codec import (
     decode_basic_block,
+    decode_basic_block_bit_serial,
     encode_basic_block,
 )
 from repro.core.stream_codec import (
-    _segment_bounds_cached,
+    decode_bit_serial,
     decode_stream,
     decode_with_plan,
     encode_stream,
@@ -85,7 +87,8 @@ class CheckResult:
 
 
 def check_stream(stream: list[int], block_size: int, strategy: str) -> CheckResult:
-    """Fast vs reference encode, then every decode path, for one stream."""
+    """Fast vs reference encode, then the bitplane decode against the
+    bit-serial oracle, for one stream."""
     result = CheckResult()
     result.cover("block_sizes", f"k={block_size}")
     try:
@@ -104,37 +107,15 @@ def check_stream(stream: list[int], block_size: int, strategy: str) -> CheckResu
     decoded_bitplane = decode_stream(fast)
     if decoded_bitplane != list(stream):
         return result.fail("bitplane_decode_wrong")
-    decoded_tables = decode_stream(fast, use_bitplane=False)
-    if decoded_tables != list(stream):
-        return result.fail("table_decode_wrong")
-    decoded_serial = decode_stream(fast, use_tables=False)
-    if decoded_serial != list(stream):
+    plan = fast.transformations()
+    stored = list(fast.encoded)
+    if decode_bit_serial(
+        stored, block_size, plan, fast.overlapped
+    ) != list(stream):
         return result.fail("bit_serial_decode_wrong")
     if strategy != "disjoint" and stream:
-        plan = fast.transformations()
-        stored = list(fast.encoded)
         if decode_with_plan(stored, block_size, plan) != list(stream):
             return result.fail("plan_bitplane_decode_wrong")
-        if decode_with_plan(
-            stored, block_size, plan, use_bitplane=False
-        ) != list(stream):
-            return result.fail("plan_table_decode_wrong")
-        if decode_with_plan(
-            stored, block_size, plan, use_tables=False
-        ) != list(stream):
-            return result.fail("plan_bit_serial_decode_wrong")
-        # Every available bitplane backend must agree bit-for-bit (on
-        # a numpy host this runs the pure big-int scan as well).
-        packed, length = bitplane.pack_validated(stored)
-        bounds = _segment_bounds_cached(length, block_size, True)
-        for backend in bitplane.available_backends():
-            scanned = bitplane.decode_plan_bitplane(
-                packed, length, bounds, plan, backend=backend
-            )
-            if bitplane.bits_list(scanned, length) != list(stream):
-                return result.fail(
-                    "bitplane_backend_decode_wrong", backend=backend
-                )
 
     # Coverage footprint: which codebook entries this stream resolved
     # through, which boundary/tail classes it ended on.
@@ -186,9 +167,7 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
         return result.fail("program_encode_paths_diverge")
     if decode_basic_block(fast) != list(words):
         return result.fail("program_bitplane_decode_wrong")
-    if decode_basic_block(fast, use_bitplane=False) != list(words):
-        return result.fail("program_table_decode_wrong")
-    if decode_basic_block(fast, use_tables=False) != list(words):
+    if decode_basic_block_bit_serial(fast) != list(words):
         return result.fail("program_bit_serial_decode_wrong")
 
     deployment = make_deployment([list(words)], block_size, parity=True)
@@ -219,7 +198,7 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
     # The bulk decode_trace bitplane walk must match the per-fetch
     # walk on both output and architectural counters.
     walks = []
-    for use_bitplane in (True, False):
+    for bulk in (True, False):
         decoder = FetchDecoder(
             deployment.tt,
             deployment.bbit,
@@ -227,17 +206,19 @@ def check_program(words: list[int], block_size: int) -> CheckResult:
             encoded_region=deployment.encoded_region,
         )
         try:
-            decoded = decoder.decode_trace(
-                deployment.trace_for(0),
-                deployment.image.__getitem__,
-                finalize=True,
-                use_bitplane=use_bitplane,
-            )
+            if bulk:
+                decoded = decoder.decode_trace(
+                    deployment.trace_for(0),
+                    deployment.image.__getitem__,
+                    finalize=True,
+                )
+            else:
+                decoder.reset()
+                decoded = _fetch_all(decoder, deployment, 0)
+                decoder.finalize()
         except ReproError as err:
             return result.fail(
-                "decode_trace_raised",
-                bitplane=use_bitplane,
-                error=repr(err),
+                "decode_trace_raised", bitplane=bulk, error=repr(err)
             )
         walks.append(
             (decoded, decoder.decoded_instructions, decoder.tt_reads)
@@ -404,24 +385,11 @@ def check_tables(
 # ----------------------------------------------------------------------
 
 
-def _decode_code_bits(code: list[int], tau, history: int | None) -> list[int]:
-    """Bit-serial reference decode of one block code word.
-
-    ``history=None`` is the anchored protocol (first decoded bit is
-    the stored bit itself); otherwise the first decoded bit is the
-    overlap history already produced by the previous block.
-    """
-    decoded = [code[0] if history is None else history]
-    for position in range(1, len(code)):
-        decoded.append(tau(code[position], decoded[position - 1]))
-    return decoded
-
-
 def sweep_codebook(block_size: int) -> CheckResult:
     """Every full-width block word through every codebook variant,
-    against the reference solver and all three decode directions
-    (bit-serial, suffix table, bitplane scan)."""
-    from repro.core.fastpath import decode_suffix_table, get_codebook
+    against the reference solver and both decode directions (the
+    bit-serial oracle and the bitplane scan)."""
+    from repro.core.fastpath import get_codebook
 
     result = CheckResult()
     result.cover("block_sizes", f"k={block_size}")
@@ -470,27 +438,20 @@ def sweep_codebook(block_size: int) -> CheckResult:
                     variant=variant,
                     word=word_int,
                 )
-            history = None if fixed is None else word[0]
-            if _decode_code_bits(code, tau, history) != word:
+            # The anchor position reproduces the first decoded bit
+            # verbatim, so seeding it with the overlap history (the
+            # original first bit) models the constrained protocol
+            # exactly in both decode directions.
+            first_decoded = code[0] if fixed is None else word[0]
+            if decode_bit_serial(
+                [first_decoded] + code[1:], block_size, (tau,)
+            ) != word:
                 return result.fail(
                     "codebook_bit_serial_roundtrip_wrong",
                     k=block_size,
                     variant=variant,
                     word=word_int,
                 )
-            table = decode_suffix_table(tau.func.truth_table, block_size - 1)
-            first_decoded = code[0] if fixed is None else word[0]
-            decoded_body = table[first_decoded][code_int >> 1]
-            if (first_decoded | (decoded_body << 1)) != word_int:
-                return result.fail(
-                    "codebook_suffix_table_roundtrip_wrong",
-                    k=block_size,
-                    variant=variant,
-                    word=word_int,
-                )
-            # Bitplane scan leg: the anchor position reproduces the
-            # first decoded bit verbatim, so seeding it with the
-            # overlap history models the constrained protocol exactly.
             scan_code = (code_int & ~1) | first_decoded
             scanned = bitplane.decode_plan_bitplane(
                 scan_code, block_size, ((0, block_size),), (tau,)
@@ -511,41 +472,30 @@ def sweep_codebook(block_size: int) -> CheckResult:
 
 def sweep_tau(block_size: int) -> CheckResult:
     """Every τ selector's decode, exhaustively, through every layer:
-    the compiled suffix tables and the bitplane doubling scan vs the
-    bit-serial recurrence for every (history, stored suffix), and the
-    hardware :class:`TTEntry` masked gate model vs per-line function
-    application on seeded words."""
-    from repro.core.fastpath import decode_suffix_table
-
+    the bitplane doubling scan vs the bit-serial oracle for every
+    (history, stored suffix), and the hardware :class:`TTEntry` masked
+    gate model vs per-line function application on seeded words."""
     result = CheckResult()
     result.cover("block_sizes", f"k={block_size}")
     for transformation in OPTIMAL_SET:
         selector = transformation.selector
         func = transformation.func
         for suffix_len in range(1, block_size):
-            table = decode_suffix_table(func.truth_table, suffix_len)
+            length = suffix_len + 1
             for history in (0, 1):
                 for stored in range(1 << suffix_len):
-                    h, expected = history, 0
-                    for i in range(suffix_len):
-                        h = func((stored >> i) & 1, h)
-                        expected |= h << i
-                    if table[history][stored] != expected:
-                        return result.fail(
-                            "suffix_table_diverges",
-                            k=block_size,
-                            selector=selector,
-                            suffix_len=suffix_len,
-                            history=history,
-                            stored=stored,
-                        )
-                    scanned = bitplane.decode_plan_bitplane(
-                        (stored << 1) | history,
-                        suffix_len + 1,
-                        ((0, suffix_len + 1),),
+                    # Position 0 carries the history bit: the anchor
+                    # passes it through, exactly as an overlap bit.
+                    code_int = (stored << 1) | history
+                    expected = decode_bit_serial(
+                        [(code_int >> i) & 1 for i in range(length)],
+                        length,
                         (transformation,),
                     )
-                    if scanned != (expected << 1) | history:
+                    scanned = bitplane.decode_plan_bitplane(
+                        code_int, length, ((0, length),), (transformation,)
+                    )
+                    if scanned != pack_bits(expected):
                         return result.fail(
                             "bitplane_scan_diverges",
                             k=block_size,

@@ -21,24 +21,6 @@ from repro.errors import VerifyError
 _APPLIED: list[str] = []
 
 
-def _mutate_suffix_table() -> None:
-    """Corrupt the compiled suffix-table decode path: the table entry
-    for (history=1, all-ones stored suffix) decodes one bit wrong.
-    Caught by the stream checks (table decode vs bit-serial decode)."""
-    from repro.core import fastpath
-
-    real = fastpath.decode_suffix_table.__wrapped__
-
-    def corrupted(truth_table: int, suffix_len: int) -> tuple:
-        tables = real(truth_table, suffix_len)
-        full = (1 << suffix_len) - 1
-        row = list(tables[1])
-        row[full] ^= 1
-        return (tables[0], tuple(row))
-
-    fastpath.decode_suffix_table = corrupted
-
-
 def _mutate_codebook_entry() -> None:
     """Flip a stored code bit in one compiled anchored entry (k=5,
     word 0b10110).  The fast encode path diverges from the reference
@@ -58,10 +40,10 @@ def _mutate_codebook_entry() -> None:
 
 def _mutate_bitplane_scan() -> None:
     """XOR bit 1 into every bitplane doubling-scan decode of a stream
-    at least two bits long (bit 0 is the anchor, which the scalar
-    paths also reproduce verbatim, so the flip lands on a decoded body
-    bit).  Caught by the stream checks (bitplane vs table/bit-serial)
-    and the exhaustive τ sweep."""
+    at least two bits long (bit 0 is the anchor, which the bit-serial
+    oracle also reproduces verbatim, so the flip lands on a decoded
+    body bit).  Caught by the stream checks (bitplane vs the bit-serial
+    oracle) and the exhaustive τ sweep."""
     from repro.core import bitplane
 
     real = bitplane.decode_plan_bitplane
@@ -121,10 +103,6 @@ def _mutate_lowweight_codeword() -> None:
 
 
 MUTATIONS: dict[str, tuple[str, object]] = {
-    "suffix-table": (
-        "compiled suffix-table decode returns one wrong bit",
-        _mutate_suffix_table,
-    ),
     "codebook-entry": (
         "one compiled anchored codebook entry stores a flipped code bit",
         _mutate_codebook_entry,

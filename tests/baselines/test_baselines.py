@@ -6,22 +6,18 @@ property tests use ``fetch_word_streams``/``instruction_words``, plain
 tests take the seeded factory fixtures from ``conftest``.
 """
 
+from itertools import combinations
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.bus_invert import (
-    BusInvertCoder,
-    BusInvertEncoder,
-    bus_invert_transitions,
-)
-from repro.baselines.frequency import FrequencyEncoder, FrequencyRemapper
-from repro.baselines.gray import gray_decode, gray_encode, gray_transitions
-from repro.baselines.t0 import (
-    T0Coder,
-    T0Encoder,
-    raw_address_transitions,
-    t0_transitions,
-)
+from repro.baselines.bus_invert import BusInvertEncoder
+from repro.baselines.frequency import FrequencyEncoder, _code_candidates
+from repro.baselines.gray import GrayEncoder
+from repro.baselines.protocol import make_encoder
+from repro.baselines.t0 import T0Encoder
+from repro.core.transitions import per_transfer_transitions, word_transitions
 
 from tests.strategies import fetch_word_streams, instruction_words
 
@@ -30,46 +26,34 @@ MASK32 = (1 << 32) - 1
 
 class TestBusInvert:
     def test_inversion_triggers_above_half(self):
-        coder = BusInvertCoder(width=8)
-        coder.reset(initial_word=0x00)
-        driven, invert = coder.send(0xFF)  # distance 8 > 4 -> invert
-        assert invert == 1
-        assert driven == 0x00
+        encoder = BusInvertEncoder(width=8)
+        stream = encoder.encode([0x00, 0xFF])  # distance 8 > 4 -> invert
+        assert stream.driven[1] == (1 << 8) | 0x00
         # 0 bus transitions + 1 invert-line transition
-        assert coder.transitions == 1
+        assert stream.transitions() == 1
 
     def test_no_inversion_below_half(self):
-        coder = BusInvertCoder(width=8)
-        coder.reset(initial_word=0x00)
-        driven, invert = coder.send(0x03)
-        assert invert == 0 and driven == 0x03
-        assert coder.transitions == 2
+        stream = BusInvertEncoder(width=8).encode([0x00, 0x03])
+        assert stream.driven[1] == 0x03
+        assert stream.transitions() == 2
 
     def test_decode_restores(self, seeded_words):
-        coder = BusInvertCoder(width=8)
-        for word in [w & 0xFF for w in seeded_words("bi-decode", 100)]:
-            driven, invert = coder.send(word)
-            assert BusInvertCoder.decode(driven, invert, width=8) == word
+        encoder = BusInvertEncoder(width=8)
+        words = [w & 0xFF for w in seeded_words("bi-decode", 100)]
+        assert encoder.decode(encoder.encode(words)) == words
 
     @given(instruction_words)
     @settings(max_examples=100)
     def test_worst_case_bound(self, words):
         # Per transfer: at most width/2 line transitions + 1 invert.
-        coder = BusInvertCoder(width=32)
-        coder.reset(initial_word=words[0])
-        before = 0
-        for word in words[1:]:
-            coder.send(word)
-            assert coder.transitions - before <= 17
-            before = coder.transitions
+        driven = BusInvertEncoder(width=32).encode(words).driven
+        assert all(cost <= 17 for cost in per_transfer_transitions(driven))
 
     @given(fetch_word_streams())
     @settings(max_examples=100)
     def test_never_worse_than_raw_plus_signal(self, words):
-        raw = sum(
-            (a ^ b).bit_count() for a, b in zip(words, words[1:])
-        )
-        encoded = bus_invert_transitions(words)
+        raw = word_transitions(words)
+        encoded = BusInvertEncoder().transitions(words)
         # The invert line can add at most one transition per transfer.
         assert encoded <= raw + max(0, len(words) - 1)
 
@@ -94,7 +78,6 @@ class TestBusInvert:
             if prev_driven is not None:
                 distance = (word ^ prev_driven).bit_count()
                 assert invert == (1 if distance > 16 else 0)
-            assert BusInvertCoder.decode(driven, invert, width=32) == word
             prev_driven = driven
         assert encoder.decode(stream) == [w & MASK32 for w in words]
 
@@ -104,27 +87,25 @@ class TestT0:
         addresses = [0x400000 + 4 * i for i in range(100)]
         # Only the initial rise of the increment line toggles; the
         # address lines never move.
-        assert t0_transitions(addresses) <= 1
+        assert T0Encoder().transitions(addresses) <= 1
 
     def test_branch_costs_transitions(self):
         addresses = [0x400000, 0x400004, 0x400100]
-        assert t0_transitions(addresses) > 0
+        assert T0Encoder().transitions(addresses) > 0
 
     def test_t0_beats_raw_on_sequential(self):
         addresses = [0x400000 + 4 * i for i in range(64)]
-        assert t0_transitions(addresses) < raw_address_transitions(addresses)
+        assert T0Encoder().transitions(addresses) < word_transitions(addresses)
 
     def test_frozen_counter(self):
-        coder = T0Coder()
-        coder.reset(0x100)
-        coder.send(0x104)
-        coder.send(0x108)
-        coder.send(0x200)
-        assert coder.frozen_transfers == 2
+        stream = T0Encoder().encode([0x100, 0x104, 0x108, 0x200])
+        frozen = [(packed >> 32) & 1 for packed in stream.driven[1:]]
+        assert frozen == [1, 1, 0]
+        assert stream.driven[2] & MASK32 == 0x100  # bus held at the anchor
 
     def test_empty(self):
-        assert t0_transitions([]) == 0
-        assert bus_invert_transitions([]) == 0
+        assert T0Encoder().transitions([]) == 0
+        assert BusInvertEncoder().transitions([]) == 0
 
     @given(
         st.integers(min_value=0, max_value=MASK32 - 4 * 40),
@@ -158,44 +139,45 @@ class TestT0:
 class TestGray:
     @given(st.integers(min_value=0, max_value=(1 << 30) - 1))
     def test_roundtrip(self, value):
-        assert gray_decode(gray_encode(value)) == value
+        encoder = GrayEncoder()
+        assert encoder.decode_word(encoder.encode_word(value)) == value
 
     @given(st.integers(min_value=0, max_value=(1 << 30) - 2))
     def test_adjacent_differ_in_one_bit(self, value):
-        a, b = gray_encode(value), gray_encode(value + 1)
+        encoder = GrayEncoder()
+        a, b = encoder.encode_word(value), encoder.encode_word(value + 1)
         assert (a ^ b).bit_count() == 1
 
     def test_sequential_stream_one_transition_per_fetch(self):
         addresses = [4 * i for i in range(100)]
-        assert gray_transitions(addresses) == 99
+        # Gray recodes the word index, not the byte address.
+        assert GrayEncoder().transitions([a // 4 for a in addresses]) == 99
 
 
-class TestFrequencyRemapper:
+class TestFrequencyEncoder:
     def test_fit_assigns_small_codes_to_frequent_words(self):
         words = [0xAAAAAAAA] * 100 + [0x55555555] * 50 + [0x12345678] * 10
-        remapper = FrequencyRemapper().fit(words)
-        code_a, escape_a = remapper.encode(0xAAAAAAAA)
-        assert escape_a == 0
-        assert code_a == 0  # most frequent gets the all-zero code
+        encoder = FrequencyEncoder().fit(words)
+        # The most frequent word gets the all-zero code, unescaped.
+        assert encoder.mapping[0xAAAAAAAA] == 0
+        assert encoder.encode([0xAAAAAAAA]).driven == [0]
 
     def test_unknown_word_escapes(self):
-        remapper = FrequencyRemapper().fit([1, 2, 3])
-        word, escape = remapper.encode(0xDEAD)
-        assert word == 0xDEAD and escape == 1
+        encoder = FrequencyEncoder().fit([1, 2, 3])
+        assert encoder.encode([0xDEAD]).driven == [(1 << 32) | 0xDEAD]
 
     def test_transitions_reduced_on_skewed_stream(self, seeded_hot_words):
         words = seeded_hot_words("freq-skew", 2000, alphabet=4, noise=0.0)
-        remapper = FrequencyRemapper().fit(words)
-        raw = sum((a ^ b).bit_count() for a, b in zip(words, words[1:]))
-        assert remapper.transitions(words) < raw
+        encoder = FrequencyEncoder().fit(words)
+        assert encoder.transitions(words) < word_transitions(words)
 
     def test_dictionary_cost_reported(self):
-        remapper = FrequencyRemapper(max_entries=8).fit(list(range(20)))
-        assert remapper.dictionary_bits == 8 * 64
+        encoder = FrequencyEncoder(max_entries=8).fit(list(range(20)))
+        assert encoder.budget().table_bits == 8 * 64
 
     def test_capacity_respected(self):
-        remapper = FrequencyRemapper(max_entries=4).fit(list(range(100)))
-        assert len(remapper.mapping) == 4
+        encoder = FrequencyEncoder(max_entries=4).fit(list(range(100)))
+        assert len(encoder.mapping) == 4
 
     @given(fetch_word_streams())
     @settings(max_examples=100)
@@ -204,7 +186,7 @@ class TestFrequencyRemapper:
         distinct hot words get distinct codes, no code collides with
         another, so the escape-tagged channel decodes uniquely."""
         encoder = FrequencyEncoder().fit(words)
-        mapping = encoder._remapper.mapping
+        mapping = encoder.mapping
         codes = list(mapping.values())
         assert len(set(mapping)) == len(mapping)
         assert len(set(codes)) == len(codes)
@@ -220,3 +202,30 @@ class TestFrequencyRemapper:
                 assert driven == word & MASK32
             else:
                 assert driven in code_image
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_code_candidates_match_brute_force_order(self, width):
+        """Codes come weight level by weight level, ascending within a
+        level — the order of sorting the whole space by (weight, value)
+        — up to and including the full code space."""
+        brute = sorted(range(1 << width), key=lambda c: (c.bit_count(), c))
+        for count in sorted({0, 1, width, (1 << width) // 2, 1 << width}):
+            assert _code_candidates(width, count) == brute[:count]
+        with pytest.raises(ValueError, match="exhausted"):
+            _code_candidates(width, (1 << width) + 1)
+
+    def test_wide_bus_codes_use_the_low_twenty_lines(self):
+        def level(weight):
+            return sorted(
+                sum(1 << line for line in chosen)
+                for chosen in combinations(range(20), weight)
+            )
+
+        expected = level(0) + level(1) + level(2) + level(3)
+        assert _code_candidates(32, 256) == expected[:256]
+
+    def test_full_code_space_fits(self):
+        encoder = make_encoder("frequency", width=4).fit(range(16))
+        assert sorted(encoder.mapping.values()) == list(range(16))
+        words = list(range(16)) * 2
+        assert encoder.decode(encoder.encode(words)) == words

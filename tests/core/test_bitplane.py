@@ -1,28 +1,29 @@
 """Property tests for the packed-bitplane decode core.
 
-The bitplane module re-implements three scalar decode paths (stream,
-plan, block) as parallel-prefix doubling scans; these tests pin the
-scans to the scalar references bit-for-bit across seeded streams,
-hypothesis-drawn inputs, every block size the paper studies (k=2..7),
-boundary/tail lengths, and both scan backends — plus the packing
-bridges (``pack_validated``/``bits_list``/``transpose_words``) and
-the forced no-numpy import fallback.
+The bitplane module is the one production decode engine: it runs the
+paper's bit-serial recurrence as parallel-prefix doubling scans at
+three entry points (stream, plan, block).  These tests pin the scans to
+the bit-serial oracle bit-for-bit across seeded streams,
+hypothesis-drawn inputs, every block size the paper studies (k=2..7)
+and boundary/tail lengths — plus the packing bridges
+(``pack_validated``/``bits_list``/``transpose_words``).
 """
 
 from __future__ import annotations
-
-import builtins
-import importlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bitplane
-from repro.core.fastpath import decode_plan_int
 from repro.core.bitstream import pack_bits
-from repro.core.program_codec import decode_basic_block, encode_basic_block
+from repro.core.program_codec import (
+    decode_basic_block,
+    decode_basic_block_bit_serial,
+    encode_basic_block,
+)
 from repro.core.stream_codec import (
+    decode_bit_serial,
     decode_stream,
     decode_with_plan,
     encode_stream,
@@ -36,8 +37,6 @@ from tests.strategies import (
     seeded_stream,
     seeded_words,
 )
-
-ALL_BACKENDS = bitplane.available_backends()
 
 
 # ----------------------------------------------------------------------
@@ -134,31 +133,14 @@ class TestSolveFirstOrder:
             bit = ((const >> p) & 1) ^ (((coeff >> p) & 1) & prev)
             expected |= bit << p
             prev = bit
-        for backend in ALL_BACKENDS:
-            assert (
-                bitplane.solve_first_order(coeff, const, nbits, backend)
-                == expected
-            ), backend
+        assert bitplane.solve_first_order(coeff, const, nbits) == expected
 
     def test_zero_length(self):
         assert bitplane.solve_first_order(123, 456, 0) == 0
 
-    def test_backend_selection(self):
-        original = bitplane.get_backend()
-        try:
-            for backend in ALL_BACKENDS:
-                bitplane.set_backend(backend)
-                assert bitplane.get_backend() == backend
-        finally:
-            bitplane.set_backend(original)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown bitplane backend"):
-            bitplane.set_backend("simd512")
-
 
 # ----------------------------------------------------------------------
-# Stream/plan decode vs the scalar paths
+# Stream/plan decode vs the bit-serial oracle
 # ----------------------------------------------------------------------
 
 
@@ -170,14 +152,10 @@ class TestPlanDecode:
         plan = encoding.transformations()
         packed, length = bitplane.pack_validated(encoding.encoded)
         bounds = tuple(segment_bounds(length, block_size))
-        scalar = decode_plan_int(packed, length, bounds, plan)
-        for backend in ALL_BACKENDS:
-            assert (
-                bitplane.decode_plan_bitplane(
-                    packed, length, bounds, plan, backend=backend
-                )
-                == scalar
-            ), backend
+        serial = decode_bit_serial(encoding.encoded, block_size, plan)
+        assert bitplane.decode_plan_bitplane(
+            packed, length, bounds, plan
+        ) == pack_bits(serial)
 
     @given(bit_streams, hw_block_sizes)
     @settings(max_examples=150)
@@ -186,14 +164,13 @@ class TestPlanDecode:
         plan = encoding.transformations()
         packed, length = bitplane.pack_validated(encoding.encoded)
         bounds = tuple(segment_bounds(length, block_size, overlapped=False))
-        scalar = decode_plan_int(packed, length, bounds, plan, overlapped=False)
-        assert (
-            bitplane.decode_plan_bitplane(
-                packed, length, bounds, plan, overlapped=False
-            )
-            == scalar
+        serial = decode_bit_serial(
+            encoding.encoded, block_size, plan, overlapped=False
         )
-        assert bitplane.bits_list(scalar, length) == stream
+        assert serial == stream
+        assert bitplane.decode_plan_bitplane(
+            packed, length, bounds, plan, overlapped=False
+        ) == pack_bits(serial)
 
     @pytest.mark.parametrize("block_size", range(2, 8))
     def test_boundary_and_tail_lengths(self, block_size):
@@ -223,16 +200,11 @@ class TestPlanDecode:
                 else seeded_burst(f"long:{block_size}:{seed}", 800)
             )
             encoding = encode_stream(stream, block_size)
-            assert decode_stream(encoding) == stream  # bitplane default
-            assert decode_stream(encoding, use_bitplane=False) == stream
-            assert decode_stream(encoding, use_tables=False) == stream
+            assert decode_stream(encoding) == stream
             plan = encoding.transformations()
             stored = list(encoding.encoded)
+            assert decode_bit_serial(stored, block_size, plan) == stream
             assert decode_with_plan(stored, block_size, plan) == stream
-            assert (
-                decode_with_plan(stored, block_size, plan, use_bitplane=False)
-                == stream
-            )
 
 
 class TestBlockDecode:
@@ -240,24 +212,18 @@ class TestBlockDecode:
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_block_decode(self, words, block_size):
         encoding = encode_basic_block(words, block_size)
-        scalar = decode_basic_block(encoding, use_bitplane=False)
-        assert scalar == words
-        for backend in ALL_BACKENDS:
-            plans = tuple(
-                tuple(t.func.truth_table for t in plan)
-                for plan in encoding.segment_plans
+        assert decode_basic_block_bit_serial(encoding) == words
+        plans = tuple(
+            tuple(t.func.truth_table for t in plan)
+            for plan in encoding.segment_plans
+        )
+        bounds = tuple(segment_bounds(len(words), block_size))
+        assert (
+            bitplane.decode_block_bitplane(
+                encoding.encoded_words, bounds, plans, width=encoding.width
             )
-            bounds = tuple(segment_bounds(len(words), block_size))
-            assert (
-                bitplane.decode_block_bitplane(
-                    encoding.encoded_words,
-                    bounds,
-                    plans,
-                    width=encoding.width,
-                    backend=backend,
-                )
-                == words
-            ), backend
+            == words
+        )
 
     @pytest.mark.parametrize("block_size", range(2, 8))
     def test_seeded_blocks_boundary_sizes(self, block_size):
@@ -267,63 +233,13 @@ class TestBlockDecode:
             words = seeded_words(f"block:{block_size}:{count}", count)
             encoding = encode_basic_block(words, block_size)
             assert decode_basic_block(encoding) == words
-            assert decode_basic_block(encoding, use_bitplane=False) == words
-            assert decode_basic_block(encoding, use_tables=False) == words
-
-
-# ----------------------------------------------------------------------
-# Forced no-numpy fallback
-# ----------------------------------------------------------------------
-
-
-def test_module_without_numpy(monkeypatch):
-    """Reload the module with ``import numpy`` failing: the bigint
-    backend must stand alone and the format-string transpose must
-    replace the packbits one, bit-for-bit."""
-    real_import = builtins.__import__
-
-    def no_numpy(name, *args, **kwargs):
-        if name == "numpy":
-            raise ImportError("numpy disabled for this test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numpy)
-    try:
-        importlib.reload(bitplane)
-        assert bitplane.available_backends() == ("bigint",)
-        assert bitplane.get_backend() == "bigint"
-        with pytest.raises(ValueError):
-            bitplane.set_backend("numpy")
-
-        words = seeded_words("no-numpy", 17)
-        packed = bitplane.transpose_words(words)
-        assert bitplane.untranspose_words(packed, len(words)) == words
-
-        stream = seeded_stream("no-numpy", 200)
-        for block_size in (2, 5, 7):
-            encoding = encode_stream(stream, block_size)
-            assert decode_stream(encoding) == stream
-            words = seeded_words(f"no-numpy:{block_size}", 11)
-            block = encode_basic_block(words, block_size)
-            assert decode_basic_block(block) == words
-    finally:
-        monkeypatch.setattr(builtins, "__import__", real_import)
-        importlib.reload(bitplane)
-
-    # Restored module must expose numpy again if the environment has it.
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        assert "numpy" in bitplane.available_backends()
+            assert decode_basic_block_bit_serial(encoding) == words
 
 
 def test_transpose_fallback_matches_numpy_path():
-    """The format-string transpose and the packbits transpose are the
-    same function observably — cross-check them directly."""
-    numpy = pytest.importorskip("numpy")
-    del numpy
+    """The format-string transpose (the path every non-32-bit bus
+    takes) and the 32-bit packbits transpose are the same function
+    observably — cross-check them directly."""
     for seed in range(5):
         words = seeded_words(f"xpose:{seed}", 3 + 7 * seed)
         fast = bitplane.transpose_words(words)

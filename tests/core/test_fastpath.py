@@ -4,7 +4,8 @@ seed :class:`BlockSolver` reference implementation.
 The contract is strict bit-identity: for any stream, block size and
 strategy, encoding through the codebook must produce a byte-identical
 :class:`StreamEncoding` (same stored bits, same segment/transformation
-plan) to the reference path, and both decoders must round-trip."""
+plan) to the reference path, and both the bitplane decoder and the
+bit-serial oracle must round-trip."""
 
 import itertools
 
@@ -31,16 +32,17 @@ from repro.core.boolfunc import TT_Y, BoolFunc
 from repro.core.fastpath import (
     CompiledCodebook,
     clear_codebook_cache,
-    decode_suffix_table,
     get_codebook,
 )
 from repro.core.program_codec import (
     decode_basic_block,
+    decode_basic_block_bit_serial,
     encode_basic_block,
     encode_basic_blocks,
 )
 from repro.core.stream_codec import (
     StreamEncoder,
+    decode_bit_serial,
     decode_stream,
     decode_with_plan,
     encode_stream,
@@ -117,18 +119,6 @@ class TestCodebookTables:
         with pytest.raises(ValueError):
             CompiledCodebook(1)
 
-    def test_decode_suffix_table_matches_chain(self):
-        for tt in range(16):
-            func = BoolFunc(tt)
-            table = decode_suffix_table(tt, 3)
-            for history in (0, 1):
-                for stored in range(8):
-                    h, out = history, 0
-                    for i in range(3):
-                        h = func((stored >> i) & 1, h)
-                        out |= h << i
-                    assert table[history][stored] == out
-
 
 class TestStreamBitIdentity:
     @given(streams, block_sizes, strategies)
@@ -140,7 +130,9 @@ class TestStreamBitIdentity:
         )
         assert fast == reference  # full dataclass identity
         assert decode_stream(fast) == stream
-        assert decode_stream(fast, use_tables=False) == stream
+        assert decode_bit_serial(
+            fast.encoded, block_size, fast.transformations(), fast.overlapped
+        ) == stream
 
     @given(streams, block_sizes)
     @settings(max_examples=150, deadline=None)
@@ -164,21 +156,14 @@ class TestStreamBitIdentity:
                 )
                 assert fast == reference
                 assert decode_stream(fast) == stream
-                assert decode_stream(fast, use_tables=False) == stream
+                plan = fast.transformations()
+                assert decode_bit_serial(
+                    fast.encoded, block_size, plan, fast.overlapped
+                ) == stream
                 if strategy != "disjoint":
-                    plan = fast.transformations()
                     assert (
                         decode_with_plan(
                             list(fast.encoded), block_size, plan
-                        )
-                        == stream
-                    )
-                    assert (
-                        decode_with_plan(
-                            list(fast.encoded),
-                            block_size,
-                            plan,
-                            use_tables=False,
                         )
                         == stream
                     )
@@ -189,8 +174,8 @@ class TestStreamBitIdentity:
         encoding = encode_stream(stream, block_size)
         stored = list(encoding.encoded)
         plan = encoding.transformations()
-        assert decode_with_plan(stored, block_size, plan) == decode_with_plan(
-            stored, block_size, plan, use_tables=False
+        assert decode_with_plan(stored, block_size, plan) == decode_bit_serial(
+            stored, block_size, plan
         )
 
 
@@ -204,7 +189,7 @@ class TestProgramBitIdentity:
             )
             assert fast == reference
             assert decode_basic_block(fast) == words
-            assert decode_basic_block(fast, use_tables=False) == words
+            assert decode_basic_block_bit_serial(fast) == words
 
     def test_basic_block_strategies_match(self):
         words = seeded_words(7, 20)

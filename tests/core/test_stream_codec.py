@@ -1,5 +1,7 @@
 """Tests for chained overlapped-block stream encoding (Section 6)."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,6 +225,24 @@ class TestEncoderConfiguration:
         encoding = encode_stream([0, 1, 0, 1, 0, 1], 4)
         with pytest.raises(ValueError):
             decode_with_plan(list(encoding.encoded), 4, [])
+
+    @pytest.mark.parametrize("strategy", ("greedy", "optimal", "disjoint"))
+    def test_segments_that_do_not_tile_are_rejected(self, strategy):
+        # A plan that does not tile the stream must be rejected: the
+        # scan would decode an uncovered tail through truth table 0
+        # (constant 0) without complaint.
+        stream = [(i * 7 // 3) & 1 for i in range(20)]
+        encoding = encode_stream(stream, 5, strategy=strategy)
+        assert decode_stream(encoding) == stream
+        truncated = replace(encoding, segments=encoding.segments[:-1])
+        with pytest.raises(ValueError, match="plan length"):
+            decode_stream(truncated)
+        first, *rest = encoding.segments
+        shifted = replace(
+            encoding, segments=(replace(first, start=1), *rest)
+        )
+        with pytest.raises(ValueError, match="segmentation"):
+            decode_stream(shifted)
 
     def test_optimal_empty_dp_state_has_clear_error(self):
         # A history-only candidate set leaves the optimal DP with no

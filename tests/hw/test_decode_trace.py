@@ -2,10 +2,11 @@
 
 ``FetchDecoder.decode_trace`` routes clean sequential basic-block
 occurrences through one lane-packed bitplane scan per occurrence.  The
-contract is *bit-identical observable behaviour* to the per-fetch
-scalar walk: same decoded words, same architectural counters, same
-exceptions — across hot-loop revisits, partial occurrences, branchy
-interleavings, passthrough gaps, truncation, and corrupted images.
+contract is *bit-identical observable behaviour* to the hardware's
+per-fetch walk (``reset()``, ``fetch()`` per PC, ``finalize()``): same
+decoded words, same architectural counters, same exceptions — across
+hot-loop revisits, partial occurrences, branchy interleavings,
+passthrough gaps, truncation, and corrupted images.
 """
 
 from __future__ import annotations
@@ -36,16 +37,26 @@ def _stats(decoder):
     }
 
 
+def _decode(deployment, trace, lookup, finalize, bulk):
+    """One walk on a fresh decoder: the bulk ``decode_trace``, or the
+    per-fetch walk it must be indistinguishable from."""
+    decoder = _decoder_for(deployment)
+    if bulk:
+        return decoder, decoder.decode_trace(trace, lookup, finalize=finalize)
+    decoder.reset()
+    words = [decoder.fetch(pc, lookup(pc)) for pc in trace]
+    if finalize:
+        decoder.finalize()
+    return decoder, words
+
+
 def _both_paths(deployment, trace, lookup=None, finalize=False):
-    """Run the bulk and scalar walks on fresh decoders; return
+    """Run the bulk and per-fetch walks on fresh decoders; return
     ((words, stats), (words, stats))."""
     lookup = lookup or deployment.image.__getitem__
     results = []
-    for use_bitplane in (True, False):
-        decoder = _decoder_for(deployment)
-        words = decoder.decode_trace(
-            trace, lookup, finalize=finalize, use_bitplane=use_bitplane
-        )
+    for bulk in (True, False):
+        decoder, words = _decode(deployment, trace, lookup, finalize, bulk)
         results.append((words, _stats(decoder)))
     return results
 
@@ -130,13 +141,10 @@ def test_mid_block_entry_raises_on_both_paths():
     # Enter at the second instruction: inside the encoded region but
     # with no BBIT hit.
     trace = deployment.trace_for(0)[1:]
-    for use_bitplane in (True, False):
-        decoder = _decoder_for(deployment)
+    for bulk in (True, False):
         with pytest.raises(DecodeFault, match="mid-block entry"):
-            decoder.decode_trace(
-                trace,
-                deployment.image.__getitem__,
-                use_bitplane=use_bitplane,
+            _decode(
+                deployment, trace, deployment.image.__getitem__, False, bulk
             )
 
 
@@ -154,14 +162,10 @@ def test_truncated_trace_finalize_parity():
     assert bulk_stats == scalar_stats
 
     messages = []
-    for use_bitplane in (True, False):
-        decoder = _decoder_for(deployment)
+    for bulk in (True, False):
         with pytest.raises(DecodeFault) as excinfo:
-            decoder.decode_trace(
-                trace,
-                deployment.image.__getitem__,
-                finalize=True,
-                use_bitplane=use_bitplane,
+            _decode(
+                deployment, trace, deployment.image.__getitem__, True, bulk
             )
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
@@ -184,32 +188,30 @@ def test_corrupted_image_decodes_identically(block_size):
     assert bulk != _golden(deployment, trace)
 
 
-def test_scalar_fallback_modes_bypass_bulk():
-    # use_bitplane=False and non-strict modes must not touch the bulk
-    # path; the decode still round-trips.
+def test_scalar_fallback_modes_bypass_bulk(monkeypatch):
+    # Non-strict modes must not touch the bulk path; the decode still
+    # round-trips.
     deployment = seeded_deployment("modes", 5)
     trace = deployment.trace_for(0)
     golden = _golden(deployment, trace)
 
-    decoder = _decoder_for(deployment)
-    assert (
-        decoder.decode_trace(
-            trace, deployment.image.__getitem__, use_bitplane=False
-        )
-        == golden
-    )
+    def no_bulk(self, addresses, lookup):
+        raise AssertionError("bulk bitplane walk used outside strict mode")
 
-    recover = FetchDecoder(
-        deployment.tt,
-        deployment.bbit,
-        deployment.block_size,
-        encoded_region=deployment.encoded_region,
-        mode="recover",
-        golden_lookup=deployment.golden_lookup,
-    )
-    assert (
-        recover.decode_trace(trace, deployment.image.__getitem__) == golden
-    )
+    monkeypatch.setattr(FetchDecoder, "_decode_trace_bitplane", no_bulk)
+    for mode in ("recover", "degraded"):
+        decoder = FetchDecoder(
+            deployment.tt,
+            deployment.bbit,
+            deployment.block_size,
+            encoded_region=deployment.encoded_region,
+            mode=mode,
+            golden_lookup=deployment.golden_lookup,
+        )
+        assert (
+            decoder.decode_trace(trace, deployment.image.__getitem__)
+            == golden
+        )
 
 
 def test_reuse_across_traces_resets_cleanly():

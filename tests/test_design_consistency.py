@@ -4,10 +4,28 @@ DESIGN.md promises an experiment index and a module map; these tests
 keep the promises true as the repository evolves.
 """
 
+import importlib
 import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).parent.parent
+
+
+def _resolve(ref: str):
+    """Import the longest module prefix of ``repro.<ref>`` and walk the
+    rest with ``getattr``; ``None`` when any step is missing."""
+    parts = ref.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(["repro", *parts[:cut]]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            obj = getattr(obj, name, None)
+            if obj is None:
+                return None
+        return obj
+    return None
 
 
 class TestExperimentIndex:
@@ -64,9 +82,15 @@ class TestModuleMap:
 class TestPaperMapping:
     def test_mapped_code_references_resolve(self):
         text = (ROOT / "docs" / "paper_mapping.md").read_text()
-        # Spot-check module-path references of the form `x.y.z`.
-        for ref in re.findall(r"`((?:core|isa|sim|cfg|hw|baselines|workloads|minicc|pipeline)\.[a-z_0-9]+)", text):
-            package, module = ref.split(".", 1)
-            module = module.split(".")[0]
-            path = ROOT / "src" / "repro" / package / f"{module}.py"
-            assert path.is_file(), f"paper_mapping references missing {ref}"
+        packages = "|".join(
+            path.name
+            for path in sorted((ROOT / "src" / "repro").iterdir())
+            if (path / "__init__.py").is_file()
+        )
+        # Every dotted reference `pkg.module.Symbol...` must import and
+        # resolve attribute by attribute, so a renamed or deleted
+        # symbol cannot linger in the mapping.
+        refs = re.findall(rf"`((?:{packages})(?:\.[A-Za-z_][A-Za-z_0-9]*)+)", text)
+        assert refs, "paper_mapping must reference code"
+        for ref in refs:
+            assert _resolve(ref) is not None, f"paper_mapping references missing {ref}"

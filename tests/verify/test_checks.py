@@ -159,6 +159,31 @@ class TestCheckEncoders:
         assert a.coverage_lists() == b.coverage_lists()
 
 
+    @pytest.mark.parametrize("scheme", ("bus-invert", "t0", "frequency"))
+    def test_reference_counter_catches_a_wrong_encode(
+        self, monkeypatch, scheme
+    ):
+        """Drive every word raw (no inversion, no freezing, always
+        escape): the stream still decodes, so only a reference counter
+        that shares no code with ``encode`` can notice."""
+        from repro.baselines.protocol import ENCODER_REGISTRY, EncodedStream
+
+        def raw_encode(self, words):
+            flag = (1 << self.width) if scheme == "frequency" else 0
+            return EncodedStream(
+                self.scheme,
+                self.width + 1,
+                [flag | (w & self._mask) for w in words],
+            )
+
+        words = [0x400000 + 4 * i for i in range(16)] + [0, 0xFFFFFFFF] * 4
+        assert check_encoders(words, schemes=(scheme,)).ok
+        monkeypatch.setattr(ENCODER_REGISTRY[scheme], "encode", raw_encode)
+        result = check_encoders(words, schemes=(scheme,))
+        assert not result.ok
+        assert result.mismatch["kind"] == "encoder_transition_count"
+
+
 class TestSweepEncoderTables:
     def test_sweep_is_clean_and_covers_all_schemes(self, encoder_schemes):
         result = sweep_encoder_tables()

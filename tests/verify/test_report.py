@@ -20,7 +20,7 @@ def _red_report() -> VerifyReport:
         config={},
         kinds={"stream": {"run": 3, "failed": 1}},
         mismatches=[
-            {"kind": "stream", "seed_key": "s", "mismatch": "table_decode_wrong"}
+            {"kind": "stream", "seed_key": "s", "mismatch": "bitplane_decode_wrong"}
         ],
         counterexamples=[
             {
@@ -29,13 +29,13 @@ def _red_report() -> VerifyReport:
                 "seed_key": "s",
                 "params": {"k": 4, "strategy": "greedy"},
                 "input": [1, 0],
-                "mismatch": {"kind": "table_decode_wrong"},
+                "mismatch": {"kind": "bitplane_decode_wrong"},
                 "mutations": [],
             }
         ],
         coverage={},
         gate_problems=["tau_selectors coverage for k=4 is 50.0%"],
-        mutations=["suffix-table"],
+        mutations=["bitplane-scan"],
         total_seconds=1.25,
         meta={"host": "x"},
     )
@@ -75,7 +75,7 @@ class TestSummary:
         text = _red_report().format_summary()
         assert "check: FAILED" in text
         assert "GATE: tau_selectors" in text
-        assert "armed mutations: suffix-table" in text
+        assert "armed mutations: bitplane-scan" in text
 
 
 class TestGateParser:
