@@ -1,11 +1,14 @@
-"""Encoder-zoo throughput harness.
+"""Encoder-zoo timing harness.
 
 Runs :func:`repro.pipeline.benchmark.run_encoder_zoo_benchmarks` and
-writes ``BENCH_encoders.json`` at the repo root so per-backend encode
-rates are tracked across PRs.  Unlike the codec harness there is no
-speedup floor — both the fast count and the reference counter are pure
-Python; the harness's value is the rate trajectory plus the built-in
-fast-vs-reference cross-check (a divergence raises before timing).
+writes ``BENCH_encoders.json`` at the repo root so per-backend costs
+are tracked across changes.  The stream is region-shaped (a hot
+alphabet fetched 20000 times), and every backend gets ``fit``,
+``encode`` and ``decode`` stage rows — what the per-region selector
+pays per candidate — plus the fast-count vs reference-counter case.
+There is no speedup floor: the harness's value is the trajectory plus
+its built-in checks (a decode mismatch or a count divergence raises
+before timing).
 """
 
 from pathlib import Path
@@ -23,12 +26,22 @@ def test_encoder_zoo_throughput_report():
 
     path = report.write(REPO_ROOT / "BENCH_encoders.json")
     assert path.exists()
+    assert report.config["num_words"] == 20000
 
-    expected = {
-        f"encoder_{scheme.replace('-', '_')}"
-        for scheme in registered_schemes()
-    }
-    assert {case.name for case in report.cases} == expected
+    names = [
+        f"encoder_{scheme.replace('-', '_')}" for scheme in registered_schemes()
+    ]
+    assert {case.name for case in report.cases} == set(names)
     for case in report.cases:
+        assert case.units_per_run == 20000
         assert case.fast_per_second > 0
         assert case.reference_per_second > 0
+
+    assert [stage.name for stage in report.stages] == [
+        f"{name}_{stage}"
+        for name in names
+        for stage in ("fit", "encode", "decode")
+    ]
+    for stage in report.stages:
+        assert stage.units_per_run == 20000
+        assert stage.per_second > 0

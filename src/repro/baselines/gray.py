@@ -41,20 +41,24 @@ class GrayEncoder(Encoder):
         return word ^ (word >> 1)
 
     def decode_word(self, word: int) -> int:
-        """Prefix-XOR inverse of :meth:`encode_word`."""
-        value = 0
-        while word:
-            value ^= word
-            word >>= 1
-        return value & self._mask
+        """Prefix-XOR inverse of :meth:`encode_word`, in log steps:
+        after the step with shift ``s`` each bit holds the XOR of the
+        ``2 * s`` bits from it upwards."""
+        shift = 1
+        while shift < word.bit_length():
+            word ^= word >> shift
+            shift <<= 1
+        return word & self._mask
 
     def encode(self, words: Sequence[int]) -> EncodedStream:
+        table = {w: self.encode_word(w) for w in set(words)}
         return EncodedStream(
-            self.scheme, self.width, [self.encode_word(w) for w in words]
+            self.scheme, self.width, list(map(table.__getitem__, words))
         )
 
     def decode(self, stream: EncodedStream) -> list[int]:
-        return [self.decode_word(w) for w in stream.driven]
+        table = {w: self.decode_word(w) for w in set(stream.driven)}
+        return list(map(table.__getitem__, stream.driven))
 
     def budget(self) -> HardwareBudget:
         return HardwareBudget(table_bits=0, extra_lines=0, stateful=False)

@@ -23,6 +23,8 @@ so the scheme is a bus codec, not an image-deployable recoder.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
+from operator import xor
 from typing import Dict, List, Sequence
 
 from repro.baselines.protocol import (
@@ -92,22 +94,21 @@ class LowWeightCodeEncoder(Encoder):
         ]
 
     def _differences(self, words: Sequence[int]) -> list[int]:
-        prev = 0
-        diffs = []
-        for word in words:
-            word &= self._mask
-            diffs.append(word ^ prev)
-            prev = word
-        return diffs
+        masked = list(map(self._mask.__and__, words))
+        return list(map(xor, masked, [0] + masked[:-1]))
 
     def fit(self, words: Sequence[int]) -> "LowWeightCodeEncoder":
         # steady-state differences only: the first transfer is free
         # under the shared convention, so d_0 = w_0 would skew ranks.
-        diffs = self._differences(words)[1:]
+        # Hot loops repeat a few differences many times, so each
+        # distinct difference is split into chunks once and weighted.
+        counts: list[Counter] = [Counter() for _ in range(self.num_chunks)]
+        for diff, n in Counter(self._differences(words)[1:]).items():
+            for pos, chunk in enumerate(self._chunks(diff)):
+                counts[pos][chunk] += n
         size = 1 << CHUNK_WIDTH
-        for pos in range(self.num_chunks):
-            counts = Counter(self._chunks(d)[pos] for d in diffs)
-            ranked = sorted(range(size), key=lambda v: (-counts[v], v))
+        for pos, count in enumerate(counts):
+            ranked = sorted(range(size), key=lambda v: (-count[v], v))
             table = [0] * size
             for rank, value in enumerate(ranked):
                 table[value] = CODEWORDS[rank]
@@ -121,35 +122,36 @@ class LowWeightCodeEncoder(Encoder):
             out |= self._tables[pos][chunk] << (pos * CODE_WIDTH)
         return out
 
+    def _difference(self, codeword: int) -> int:
+        diff = 0
+        code_mask = (1 << CODE_WIDTH) - 1
+        for pos in range(self.num_chunks):
+            code = (codeword >> (pos * CODE_WIDTH)) & code_mask
+            try:
+                value = self._inverse[pos][code]
+            except KeyError:
+                raise EncodingError(
+                    f"invalid low-weight codeword {code:#07b} at chunk {pos}"
+                ) from None
+            diff |= value << (pos * CHUNK_WIDTH)
+        return diff
+
     def encode(self, words: Sequence[int]) -> EncodedStream:
-        stream = EncodedStream(self.scheme, self.num_chunks * CODE_WIDTH)
-        driven = 0
-        for diff in self._differences(words):
-            driven ^= self._codeword(diff)
-            stream.driven.append(driven)
-        return stream
+        diffs = self._differences(words)
+        table = {d: self._codeword(d) for d in set(diffs)}
+        return EncodedStream(
+            self.scheme,
+            self.num_chunks * CODE_WIDTH,
+            list(accumulate(map(table.__getitem__, diffs), xor)),
+        )
 
     def decode(self, stream: EncodedStream) -> list[int]:
-        out: list[int] = []
-        prev_driven = 0
-        word = 0
-        code_mask = (1 << CODE_WIDTH) - 1
-        for driven in stream.driven:
-            codeword = driven ^ prev_driven
-            diff = 0
-            for pos in range(self.num_chunks):
-                code = (codeword >> (pos * CODE_WIDTH)) & code_mask
-                try:
-                    value = self._inverse[pos][code]
-                except KeyError:
-                    raise EncodingError(
-                        f"invalid low-weight codeword {code:#07b} at chunk {pos}"
-                    ) from None
-                diff |= value << (pos * CHUNK_WIDTH)
-            word ^= diff
-            out.append(word)
-            prev_driven = driven
-        return out
+        driven = list(stream.driven)
+        codewords = list(map(xor, driven, [0] + driven[:-1]))
+        # first-occurrence order, so an invalid codeword raises for the
+        # earliest bad transfer
+        table = {c: self._difference(c) for c in dict.fromkeys(codewords)}
+        return list(accumulate(map(table.__getitem__, codewords), xor))
 
     def budget(self) -> HardwareBudget:
         size = 1 << CHUNK_WIDTH
@@ -178,12 +180,19 @@ class LowWeightCodeEncoder(Encoder):
 def _lowweight_reference(encoder: Encoder, words: Sequence[int]) -> int:
     """Transition signalling means toggles-per-transfer equals the
     codeword weight of the difference — count weights directly from
-    the words without building the driven stream."""
+    the words without building the driven stream.  Chunks are looked up
+    in the serialised ``to_config()`` tables with a loop of its own, so
+    this shares no code with ``encode``."""
+    tables = encoder.to_config()["tables"]
+    mask = (1 << encoder.width) - 1
     total = 0
     prev = None
     for word in words:
-        word &= encoder._mask
+        word &= mask
         if prev is not None:
-            total += encoder._codeword(word ^ prev).bit_count()
+            diff = word ^ prev
+            for table in tables:
+                total += table[diff % len(table)].bit_count()
+                diff //= len(table)
         prev = word
     return total

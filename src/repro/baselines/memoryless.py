@@ -32,6 +32,7 @@ decodes independently through the inverse tables.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Sequence, Tuple
 
 from repro.baselines.protocol import (
@@ -45,14 +46,20 @@ from repro.core.transitions import word_transitions
 from repro.errors import EncodingError
 
 
-def _pair_weights(values: Sequence[int]) -> Dict[Tuple[int, int], int]:
-    """Weighted transition graph: unordered pair -> adjacency count."""
+def _pair_weights(
+    pairs: Dict[Tuple[int, int], int], shift: int, mask: int
+) -> Dict[Tuple[int, int], int]:
+    """Weighted transition graph of one sub-bus: unordered pair of
+    sub-bus values -> adjacency count, projected from the counts of
+    consecutive whole-word pairs."""
     weights: Dict[Tuple[int, int], int] = {}
-    for a, b in zip(values, values[1:]):
+    for (a, b), n in pairs.items():
+        a = (a >> shift) & mask
+        b = (b >> shift) & mask
         if a == b:
             continue  # zero distance under any bijection
         key = (a, b) if a < b else (b, a)
-        weights[key] = weights.get(key, 0) + 1
+        weights[key] = weights.get(key, 0) + n
     return weights
 
 
@@ -68,8 +75,12 @@ def exact_assignment(
     """Optimal injective value->codeword map by branch and bound.
 
     ``distinct`` fixes the placement order; candidate codewords are
-    tried in ascending order and the bound is the accumulated weighted
-    distance, so among all optima the result is deterministic.
+    tried in ascending order and only strict improvements are kept, so
+    the result is the lexicographically first optimum.  The weighted
+    Hamming cost is invariant under XOR-ing every code with one
+    constant, so that optimum places ``distinct[0]`` on code 0: the
+    first level tries code 0 alone, which returns the same map and
+    skips all but ``1 / code_space`` of the search.
     """
     n = len(distinct)
     codes = list(range(code_space))
@@ -95,7 +106,7 @@ def exact_assignment(
             best_cost[0] = cost
             best[0] = list(chosen)
             return
-        for code in codes:
+        for code in codes if i else codes[:1]:
             if used[code]:
                 continue
             step = cost
@@ -188,11 +199,15 @@ class MemorylessCodebookEncoder(Encoder):
 
     def fit(self, words: Sequence[int]) -> "MemorylessCodebookEncoder":
         size = 1 << self.subbus_width
+        # hot loops repeat a few words and word pairs many times: count
+        # them once over whole words, then project onto each sub-bus
+        pairs = Counter(zip(words, words[1:]))
+        distinct_words = set(words)
         for bus in range(self.num_subbuses):
-            values = self.subbus_values(words, bus)
-            weights = _pair_weights(values)
+            shift = bus * self.subbus_width
+            weights = _pair_weights(pairs, shift, self._sub_mask)
             distinct = sorted(
-                set(values),
+                {(w >> shift) & self._sub_mask for w in distinct_words},
                 key=lambda v: (-_incident_weight(v, weights), v),
             )
             if len(distinct) <= self.max_exact:
@@ -236,12 +251,14 @@ class MemorylessCodebookEncoder(Encoder):
         return out
 
     def encode(self, words: Sequence[int]) -> EncodedStream:
+        table = {w: self.encode_word(w) for w in set(words)}
         return EncodedStream(
-            self.scheme, self.width, [self.encode_word(w) for w in words]
+            self.scheme, self.width, list(map(table.__getitem__, words))
         )
 
     def decode(self, stream: EncodedStream) -> list[int]:
-        return [self.decode_word(w) for w in stream.driven]
+        table = {w: self.decode_word(w) for w in set(stream.driven)}
+        return list(map(table.__getitem__, stream.driven))
 
     # -- metadata ------------------------------------------------------
     def budget(self) -> HardwareBudget:

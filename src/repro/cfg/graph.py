@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 
@@ -30,18 +32,16 @@ class ControlFlowGraph:
         entry = program.entry if program.entry in blocks else program.text_base
         return cls(program=program, blocks=blocks, graph=graph, entry=entry)
 
+    @cached_property
+    def _starts(self) -> list[int]:
+        return sorted(self.blocks)
+
     def block_of(self, address: int) -> BasicBlock:
         """The basic block containing an instruction address."""
-        starts = sorted(self.blocks)
-        lo, hi = 0, len(starts) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            block = self.blocks[starts[mid]]
-            if address < block.start:
-                hi = mid - 1
-            elif address >= block.end:
-                lo = mid + 1
-            else:
+        i = bisect_right(self._starts, address) - 1
+        if i >= 0:
+            block = self.blocks[self._starts[i]]
+            if address < block.end:
                 return block
         raise KeyError(f"address {address:#010x} not in any block")
 

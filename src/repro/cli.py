@@ -1110,7 +1110,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--encoders",
         action="store_true",
         help="benchmark the encoder zoo instead (every registered "
-        "backend, fast count vs reference counter; BENCH_encoders.json)",
+        "backend: fit, encode and decode on a region-shaped stream, fast "
+        "count vs reference counter; BENCH_encoders.json)",
     )
     p.set_defaults(func=_cmd_bench)
 

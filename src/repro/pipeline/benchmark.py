@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -85,12 +85,38 @@ class BenchCase:
         }
 
 
+@dataclass(frozen=True)
+class BenchStage:
+    """One production stage timed on its own, with no reference side."""
+
+    name: str
+    unit: str
+    units_per_run: float
+    seconds: float
+
+    @property
+    def per_second(self) -> float:
+        if self.seconds == 0:
+            return float("inf")
+        return self.units_per_run / self.seconds
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "unit": self.unit,
+            "units_per_run": self.units_per_run,
+            "seconds": self.seconds,
+            "per_second": self.per_second,
+        }
+
+
 @dataclass
 class BenchReport:
     """All cases of one harness run plus the run configuration."""
 
     config: dict
     cases: list[BenchCase]
+    stages: list[BenchStage] = field(default_factory=list)
 
     @property
     def geomean_speedup(self) -> float:
@@ -108,12 +134,15 @@ class BenchReport:
         raise KeyError(f"no benchmark case named {name!r}")
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "generated_by": "repro.pipeline.benchmark",
             "config": self.config,
             "cases": [case.to_dict() for case in self.cases],
             "geomean_speedup": self.geomean_speedup,
         }
+        if self.stages:
+            out["stages"] = [stage.to_dict() for stage in self.stages]
+        return out
 
     def write(self, path: str | Path) -> Path:
         from repro.runtime import atomic_write_text
@@ -137,6 +166,14 @@ class BenchReport:
                 f"{case.speedup:>7.1f}x"
             )
         lines.append(f"geomean speedup: {self.geomean_speedup:.1f}x")
+        if self.stages:
+            lines.append("")
+            lines.append(f"{'stage':<30} {'s':>10} {'rate':>24}")
+            for stage in self.stages:
+                rate = f"{stage.per_second:,.0f} {stage.unit}/s"
+                lines.append(
+                    f"{stage.name:<30} {stage.seconds:>10.5f} {rate:>24}"
+                )
         return "\n".join(lines)
 
 
@@ -243,20 +280,24 @@ def _trace_decode_case(
 
 
 def run_encoder_zoo_benchmarks(
-    num_words: int = 512,
+    num_words: int = 20000,
     repeats: int = 3,
     seed: int = 1234,
 ) -> BenchReport:
-    """Encoder-zoo throughput: one case per registered backend.
+    """Encoder-zoo timings on one region-shaped stream, per backend.
 
-    The "fast" path is the production one (``encoder.transitions``:
-    encode, then count packed toggles); the "reference" is the scheme's
-    independent per-transfer counter from the verify campaign.  Counts
-    are cross-checked for equality before timing, so — like the codec
-    harness — a run certifies correctness and throughput together.
-    Written to ``BENCH_encoders.json`` by ``repro bench --encoders``;
-    no speedup floor is asserted (both sides are pure Python), the file
-    tracks the per-backend encode rate across PRs.
+    The stream is what the per-region selector sees: a hot loop
+    fetching a few distinct words ``num_words`` times
+    (:func:`~repro.verify.generators.hot_word_stream`).  Each backend
+    gets three stage rows — ``fit``, ``encode`` and ``decode``, the
+    calls the selector makes for every candidate — and one case row
+    timing the production count (``encoder.transitions``: encode, then
+    count packed toggles) against the scheme's independent reference
+    counter from the verify campaign.  Counts are cross-checked for
+    equality, and the decode for a bit-exact round trip, before
+    anything is timed.  Written to ``BENCH_encoders.json`` by ``repro
+    bench --encoders``; no floor is asserted, the file tracks the
+    per-backend cost across changes.
     """
     from repro.baselines.protocol import (
         make_encoder,
@@ -267,14 +308,31 @@ def run_encoder_zoo_benchmarks(
 
     words = hot_word_stream(random.Random(f"bench:{seed}"), num_words)
     cases: list[BenchCase] = []
+    stages: list[BenchStage] = []
     for scheme in registered_schemes():
+        name = f"encoder_{scheme.replace('-', '_')}"
         encoder = make_encoder(scheme).fit(words)
-        if encoder.transitions(words) != reference_transitions(encoder, words):
+        stream = encoder.encode(words)
+        if encoder.decode(stream) != words:
+            raise RuntimeError(f"{name}: decode did not restore the words")
+        if stream.transitions() != reference_transitions(encoder, words):
             raise RuntimeError(
-                f"encoder_{scheme}: fast transition count diverged from "
+                f"{name}: fast transition count diverged from "
                 "the reference counter"
             )
-        name = f"encoder_{scheme.replace('-', '_')}"
+        for stage, fn in (
+            ("fit", lambda: make_encoder(scheme).fit(words)),
+            ("encode", lambda: encoder.encode(words)),
+            ("decode", lambda: encoder.decode(stream)),
+        ):
+            stages.append(
+                BenchStage(
+                    name=f"{name}_{stage}",
+                    unit="words",
+                    units_per_run=len(words),
+                    seconds=_best_time(fn, repeats, f"bench.{name}.{stage}"),
+                )
+            )
         cases.append(
             BenchCase(
                 name=name,
@@ -306,7 +364,7 @@ def run_encoder_zoo_benchmarks(
         "timestamp_unix": meta["timestamp_unix"],
         "run_id": _BENCH_TRACER.run_id,
     }
-    return BenchReport(config=config, cases=cases)
+    return BenchReport(config=config, cases=cases, stages=stages)
 
 
 def run_codec_benchmarks(

@@ -126,10 +126,13 @@ def _region_runs(
     for plan in plans:
         for start in plan.blocks:
             block_to_header[start] = plan.header
+    header_of = {
+        pc: block_to_header.get(cfg.block_of(pc).start) for pc in set(trace)
+    }
     runs: Dict[int, List[List[int]]] = {plan.header: [] for plan in plans}
     current: int | None = None
     for pc in trace:
-        header = block_to_header.get(cfg.block_of(pc).start)
+        header = header_of[pc]
         if header is None:
             current = None
             continue
@@ -140,8 +143,8 @@ def _region_runs(
     return runs
 
 
-def _runs_cost(runs: List[List[int]], words_of) -> int:
-    return sum(word_transitions([words_of(pc) for pc in run]) for run in runs)
+def _runs_cost(run_words: List[List[int]]) -> int:
+    return sum(map(word_transitions, run_words))
 
 
 class SchemeSelector:
@@ -216,8 +219,9 @@ class SchemeSelector:
 
         for plan in plans:
             runs = runs_by_header[plan.header]
-            region_words = [original_of(pc) for run in runs for pc in run]
-            raw_cost = _runs_cost(runs, original_of)
+            run_words = [list(map(original_of, run)) for run in runs]
+            region_words = [w for words in run_words for w in words]
+            raw_cost = _runs_cost(run_words)
             intra_raw_total += raw_cost
             candidates: Dict[str, int | None] = {SCHEME_RAW: raw_cost}
 
@@ -226,7 +230,7 @@ class SchemeSelector:
             if tt_patch is not None:
                 patched, _, _ = tt_patch
                 candidates[SCHEME_TTBBIT] = _runs_cost(
-                    runs, lambda pc: patched[(pc - base) >> 2]
+                    [[patched[(pc - base) >> 2] for pc in run] for run in runs]
                 )
             else:
                 candidates[SCHEME_TTBBIT] = None
@@ -242,10 +246,9 @@ class SchemeSelector:
                     continue
                 cost = 0
                 ok = True
-                for run in runs:
-                    run_words = [original_of(pc) for pc in run]
-                    stream = encoder.encode(run_words)
-                    if encoder.decode(stream) != run_words:
+                for words in run_words:
+                    stream = encoder.encode(words)
+                    if encoder.decode(stream) != words:
                         ok = False  # never select a scheme that misdecodes
                         break
                     cost += stream.transitions()

@@ -2,7 +2,12 @@
 
 import pytest
 
-from tests.strategies import rng_for, seeded_stream, seeded_words
+from tests.strategies import (
+    rng_for,
+    seeded_hot_words,
+    seeded_stream,
+    seeded_words,
+)
 
 from repro.verify.checks import (
     TABLE_FAULTS,
@@ -182,6 +187,53 @@ class TestCheckEncoders:
         result = check_encoders(words, schemes=(scheme,))
         assert not result.ok
         assert result.mismatch["kind"] == "encoder_transition_count"
+
+    @pytest.mark.parametrize(
+        "patch_decode, kind",
+        ((False, "encoder_roundtrip"), (True, "encoder_transition_count")),
+    )
+    def test_lowweight_reference_does_not_use_the_codeword_map(
+        self, monkeypatch, patch_decode, kind
+    ):
+        """Swap the fitted chunk ranking for the identity one inside
+        ``_codeword`` (and, so the stream still round-trips, inside
+        ``_difference``): the reference count reads the fitted tables
+        from ``to_config()`` and does not move, so the check fails."""
+        from repro.baselines.lowweight import (
+            CHUNK_WIDTH,
+            CODE_WIDTH,
+            CODEWORDS,
+            LowWeightCodeEncoder,
+        )
+        from repro.baselines.protocol import make_encoder, reference_transitions
+
+        def identity_codeword(self, diff):
+            return sum(
+                CODEWORDS[(diff >> (pos * CHUNK_WIDTH)) & 0xF] << (pos * CODE_WIDTH)
+                for pos in range(self.num_chunks)
+            )
+
+        def identity_difference(self, codeword):
+            return sum(
+                CODEWORDS.index((codeword >> (pos * CODE_WIDTH)) & 0x1F)
+                << (pos * CHUNK_WIDTH)
+                for pos in range(self.num_chunks)
+            )
+
+        words = seeded_hot_words("lowweight-reference", 200)
+        assert check_encoders(words, schemes=("low-weight",)).ok
+        encoder = make_encoder("low-weight").fit(words)
+        assert encoder.to_config() != make_encoder("low-weight").to_config()
+        before = reference_transitions(encoder, words)
+        monkeypatch.setattr(LowWeightCodeEncoder, "_codeword", identity_codeword)
+        if patch_decode:
+            monkeypatch.setattr(
+                LowWeightCodeEncoder, "_difference", identity_difference
+            )
+        assert reference_transitions(encoder, words) == before
+        result = check_encoders(words, schemes=("low-weight",))
+        assert not result.ok
+        assert result.mismatch["kind"] == kind
 
 
 class TestSweepEncoderTables:
