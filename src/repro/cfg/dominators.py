@@ -1,23 +1,47 @@
 """Dominator computation (Cooper-Harvey-Kennedy iterative algorithm).
 
-Implemented from scratch (the loop detector depends on it); the test
-suite cross-checks against networkx's ``immediate_dominators``.
+Implemented from scratch over plain adjacency dicts (the loop
+detector depends on it); the test suite cross-checks against
+networkx's ``immediate_dominators``.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import Mapping, Sequence
 
 
-def immediate_dominators(graph: nx.DiGraph, entry) -> dict:
-    """Immediate dominator of every node reachable from ``entry``.
+def _postorder(succ: Mapping, entry) -> list:
+    """Depth-first post-order of the nodes reachable from ``entry``,
+    visiting successors in list order."""
+    order = []
+    seen = {entry}
+    stack = [(entry, iter(succ[entry]))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(succ[child])))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
+def immediate_dominators(
+    succ: Mapping[object, Sequence], pred: Mapping[object, Sequence], entry
+) -> dict:
+    """Immediate dominator of every node reachable from ``entry``, for
+    the graph with successor lists ``succ`` and predecessor lists
+    ``pred`` (every node a key of both).
 
     The entry maps to itself.  Unreachable nodes are absent.
     """
-    if entry not in graph:
+    if entry not in succ:
         raise KeyError(f"entry {entry!r} not in graph")
 
-    order = list(nx.dfs_postorder_nodes(graph, entry))
+    order = _postorder(succ, entry)
     index = {node: i for i, node in enumerate(order)}
     reverse_postorder = list(reversed(order))
 
@@ -37,9 +61,7 @@ def immediate_dominators(graph: nx.DiGraph, entry) -> dict:
         for node in reverse_postorder:
             if node == entry:
                 continue
-            candidates = [
-                p for p in graph.predecessors(node) if p in idom
-            ]
+            candidates = [p for p in pred[node] if p in idom]
             if not candidates:
                 continue
             new_idom = candidates[0]
@@ -61,13 +83,3 @@ def dominates(idom: dict, a, b) -> bool:
         if parent is None or parent == node:
             return node == a
         node = parent
-
-
-def dominator_tree(idom: dict) -> nx.DiGraph:
-    """The dominator tree as a digraph (edges idom -> node)."""
-    tree = nx.DiGraph()
-    for node, parent in idom.items():
-        tree.add_node(node)
-        if node != parent:
-            tree.add_edge(parent, node)
-    return tree

@@ -42,9 +42,9 @@ each bitwise operator to the whole operand in C, and at the operand
 sizes this codebase produces (a 5000-bit stream, a 32x64-bit
 lane-packed block) one big-int op beats a numpy pass, whose per-call
 dispatch dominates on such short arrays (measured ~5us vs ~80us per
-solve at 5000 bits).  numpy only accelerates the 32-bit word transpose
-(``packbits``/``unpackbits``); other bus widths take the pure-Python
-transpose.
+solve at 5000 bits).  The word transpose into and out of the lane-packed
+operand goes through ``format``/``int`` string conversions, also in C;
+blocks are memoised per trace, so a decode walk makes few of them.
 
 This is the one production decode engine.  Its oracle is the
 bit-serial recurrence :func:`repro.core.stream_codec.decode_bit_serial`;
@@ -56,8 +56,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Sequence
-
-import numpy as _np
 
 from repro.core.boolfunc import TT_X
 from repro.obs import OBS
@@ -237,15 +235,6 @@ def transpose_words(words: Sequence[int], width: int = 32) -> int:
     n = len(words)
     if n == 0:
         return 0
-    if width == 32:
-        arr = _np.asarray(words, dtype="<u4")
-        bits = _np.unpackbits(
-            arr.view(_np.uint8), bitorder="little"
-        ).reshape(n, 32)
-        packed = _np.packbits(
-            _np.ascontiguousarray(bits.T).reshape(-1), bitorder="little"
-        )
-        return int.from_bytes(packed.tobytes(), "little")
     rows = [format(w, f"0{width}b") for w in words]
     # Column j of the MSB-first rows is bus line width-1-j, so reading
     # columns left to right already yields the most significant lane
@@ -260,17 +249,6 @@ def untranspose_words(packed: int, length: int, width: int = 32) -> list[int]:
     """Inverse of :func:`transpose_words`."""
     if length == 0:
         return []
-    if width == 32:
-        total = 32 * length
-        data = packed.to_bytes((total + 7) // 8, "little")
-        bits = _np.unpackbits(
-            _np.frombuffer(data, dtype=_np.uint8), bitorder="little"
-        )[:total]
-        repacked = _np.packbits(
-            _np.ascontiguousarray(bits.reshape(32, length).T).reshape(-1),
-            bitorder="little",
-        )
-        return _np.frombuffer(repacked.tobytes(), dtype="<u4").tolist()
     text = format(packed, f"0{width * length}b")
     lanes = [text[j * length : (j + 1) * length][::-1] for j in range(width)]
     return [int("".join(row), 2) for row in zip(*lanes)]

@@ -606,10 +606,8 @@ class FetchDecoder:
             if (
                 count < 2
                 or index + count > total
-                or any(
-                    addresses[index + j] != pc + 4 * j
-                    for j in range(1, count)
-                )
+                or addresses[index : index + count]
+                != list(range(pc, pc + 4 * count, 4))
             ):
                 # Partial or truncated occurrence: hand the block to
                 # the scalar engine without re-probing the BBIT.
@@ -624,10 +622,9 @@ class FetchDecoder:
                 out.append(self.fetch(pc, stored_image_lookup(pc)))
                 index += 1
                 continue
-            stored = [
-                stored_image_lookup(addresses[index + j])
-                for j in range(count)
-            ]
+            stored = list(
+                map(stored_image_lookup, addresses[index : index + count])
+            )
             key = (entry.tt_index, pc, tuple(stored))
             decoded_words = memo.get(key)
             if decoded_words is None:

@@ -541,6 +541,7 @@ class EncodingBundle:
         program.  Mixed-scheme bundles additionally arm the decoder
         with the per-region scheme tags and their word decoders."""
         from repro.hw.fetch_decoder import FetchDecoder
+        from repro.sim.bus import address_map
 
         if not self.verify_against(program):
             raise BundleFormatError(
@@ -557,7 +558,7 @@ class EncodingBundle:
         )
         base = self.text_base
         decoded = decoder.decode_trace(
-            list(trace), lambda pc: self.encoded_words[(pc - base) >> 2]
+            list(trace), address_map(base, self.encoded_words).__getitem__
         )
-        original = [program.words[(pc - base) >> 2] for pc in trace]
+        original = list(map(address_map(base, program.words).__getitem__, trace))
         return decoded == original

@@ -41,7 +41,11 @@ from repro.hw.fetch_decoder import FetchDecoder
 from repro.hw.tt import TransformationTable
 from repro.isa.assembler import Program
 from repro.obs import OBS
-from repro.sim.bus import count_trace_transitions, per_line_trace_transitions
+from repro.sim.bus import (
+    address_map,
+    count_trace_transitions,
+    per_line_trace_transitions,
+)
 from repro.workloads.common import Workload
 
 
@@ -192,11 +196,11 @@ class EncodingFlow:
                     )
                     base = program.text_base
                     decoded = decoder.decode_trace(
-                        list(trace), lambda pc: image[(pc - base) >> 2]
+                        list(trace), address_map(base, image).__getitem__
                     )
-                    original = [
-                        program.words[(pc - base) >> 2] for pc in trace
-                    ]
+                    original = list(
+                        map(address_map(base, program.words).__getitem__, trace)
+                    )
                     if decoded != original:
                         raise DecodeVerificationError(
                             f"{name}: hardware decode failed to restore the "

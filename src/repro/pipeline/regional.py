@@ -33,7 +33,7 @@ from repro.hw.fetch_decoder import FetchDecoder
 from repro.hw.peripheral import programming_words
 from repro.hw.tt import TransformationTable
 from repro.isa.assembler import Program
-from repro.sim.bus import count_trace_transitions
+from repro.sim.bus import address_map, count_trace_transitions
 
 
 @dataclass
@@ -230,7 +230,7 @@ class RegionalEncodingFlow:
                 decoded.append(stored)
             else:
                 decoded.append(decoder.fetch(pc, stored))
-        original = [program.words[(pc - base) >> 2] for pc in trace]
+        original = list(map(address_map(base, program.words).__getitem__, trace))
         decode_verified = decoded == original
         if regions and not decode_verified:
             raise RuntimeError(

@@ -3,35 +3,57 @@
 Power on a bus line is proportional to its toggle count times the line
 capacitance (the paper's premise, after [1]).  This module counts bit
 transitions over a fetch trace for an arbitrary memory image — the
-baseline image or the power-encoded one — using numpy so multi-million
-fetch traces are cheap.
+baseline image or the power-encoded one — with CPython big ints: the
+fetched words are packed into one integer, 32 bits per fetch, so a
+single XOR against itself shifted one word and one ``bit_count`` count
+every toggle of the trace in C.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from repro.isa.assembler import Program
 
 
-def _trace_words(
+def address_map(text_base: int, words: Sequence[int]) -> dict[int, int]:
+    """``{address: word}`` for a word image laid out from ``text_base``;
+    its ``__getitem__`` is a C-level fetch that rejects addresses
+    outside the image or off a word boundary."""
+    return dict(zip(range(text_base, text_base + 4 * len(words), 4), words))
+
+
+def _trace_toggles(
     program: Program,
     addresses: Sequence[int],
     image: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Vector of bus words for a fetch trace.
+) -> tuple[int, int]:
+    """Toggle vector of a fetch trace and its number of bus cycles.
 
-    ``image`` overrides the program's stored words (same layout); use
-    it for the power-encoded memory image.
+    Word ``t`` of the result (bits ``[32t, 32t+32)``) is the XOR of the
+    ``t``-th and ``t+1``-th fetched words.  ``image`` overrides the
+    program's stored words (same layout); use it for the power-encoded
+    memory image.  An address outside the text, or not word-aligned,
+    raises :class:`ValueError`.
     """
-    words = np.asarray(image if image is not None else program.words, dtype=np.uint32)
-    index = (np.asarray(addresses, dtype=np.int64) - program.text_base) >> 2
-    if index.size and (index.min() < 0 or index.max() >= words.size):
-        raise ValueError("trace contains addresses outside the text image")
-    return words[index]
+    stored = address_map(
+        program.text_base, program.words if image is None else image
+    )
+    try:
+        # "I" is 32 bits on every platform CPython supports.
+        fetched = array("I", map(stored.__getitem__, addresses))
+    except KeyError as exc:
+        raise ValueError(
+            f"trace address {exc.args[0]!r} is not a word of the text image"
+        ) from None
+    cycles = len(fetched) - 1
+    if cycles < 1:
+        return 0, 0
+    x = int.from_bytes(fetched.tobytes(), sys.byteorder)
+    return (x ^ (x >> 32)) & ((1 << (32 * cycles)) - 1), cycles
 
 
 def count_trace_transitions(
@@ -40,12 +62,7 @@ def count_trace_transitions(
     image: Sequence[int] | None = None,
 ) -> int:
     """Total bit transitions on the instruction bus over a trace."""
-    fetched = _trace_words(program, addresses, image)
-    if fetched.size < 2:
-        total = 0
-    else:
-        toggles = np.bitwise_xor(fetched[1:], fetched[:-1])
-        total = int(np.bitwise_count(toggles).sum())
+    total = _trace_toggles(program, addresses, image)[0].bit_count()
     from repro.obs import OBS
 
     if OBS.enabled:
@@ -67,15 +84,14 @@ def per_line_trace_transitions(
     image: Sequence[int] | None = None,
     width: int = 32,
 ) -> list[int]:
-    """Per-bus-line transition counts over a trace."""
-    fetched = _trace_words(program, addresses, image)
-    if fetched.size < 2:
-        return [0] * width
-    toggles = np.bitwise_xor(fetched[1:], fetched[:-1])
-    return [
-        int(((toggles >> np.uint32(bit)) & np.uint32(1)).sum())
-        for bit in range(width)
-    ]
+    """Per-bus-line transition counts over a trace (lines ``0 ..
+    width-1`` of the 32-bit bus)."""
+    if not 0 <= width <= 32:
+        raise ValueError(f"bus width {width} is not in 0..32")
+    toggles, cycles = _trace_toggles(program, addresses, image)
+    # One set bit per bus cycle, at line 0 of its 32-bit lane.
+    line0 = int.from_bytes(b"\x01\x00\x00\x00" * cycles, "little")
+    return [(toggles & (line0 << line)).bit_count() for line in range(width)]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ the assembly source, a data-size parameter defaulting to a
 simulator-friendly scale (paper-scale sizes are accepted, just slow —
 the substitution is documented in DESIGN.md), and a ``verify``
 callback that checks the simulated results against an independent
-Python/numpy reference.
+pure-Python reference.
 """
 
 from repro.workloads.common import Workload, read_doubles

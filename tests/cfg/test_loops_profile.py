@@ -9,7 +9,6 @@ from repro.cfg.loops import (
     find_back_edges,
     find_natural_loops,
     innermost_loops,
-    loop_forest,
     loop_nesting_depths,
 )
 from repro.cfg.profile import profile_trace
@@ -78,14 +77,6 @@ class TestLoopDetection:
             program.address_of("outer"),
             program.address_of("inner"),
         }
-
-    def test_loop_forest(self, setup):
-        program, cfg, trace, profile, loops = setup
-        forest = loop_forest(loops)
-        assert (
-            program.address_of("outer"),
-            program.address_of("inner"),
-        ) in forest.edges
 
     def test_straight_line_has_no_loops(self):
         program = assemble(".text\nmain: nop\nli $v0, 10\nsyscall\n")

@@ -109,7 +109,6 @@ class TestTranspose:
         st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=9)
     )
     def test_narrow_width(self, words):
-        # The non-32 width takes the pure-Python path even with numpy.
         packed = bitplane.transpose_words(words, width=8)
         assert bitplane.untranspose_words(packed, len(words), width=8) == words
 
@@ -236,19 +235,16 @@ class TestBlockDecode:
             assert decode_basic_block_bit_serial(encoding) == words
 
 
-def test_transpose_fallback_matches_numpy_path():
-    """The format-string transpose (the path every non-32-bit bus
-    takes) and the 32-bit packbits transpose are the same function
-    observably — cross-check them directly."""
-    for seed in range(5):
-        words = seeded_words(f"xpose:{seed}", 3 + 7 * seed)
-        fast = bitplane.transpose_words(words)
-        rows = [format(w, "032b") for w in words]
-        slow = int(
-            "".join(
-                column[::-1]
-                for column in ("".join(c) for c in zip(*rows))
-            ),
-            2,
-        )
-        assert fast == slow
+def test_transpose_matches_bit_oracle():
+    """Bit ``L*n + t`` of the transposed operand is bit ``L`` of
+    ``words[t]`` for every lane and time step, at both bus widths and
+    every block length up to 70; untranspose inverts it."""
+    for width in (8, 32):
+        for n in range(71):
+            words = seeded_words(f"xpose:{width}:{n}", n, width)
+            packed = bitplane.transpose_words(words, width)
+            for lane in range(width):
+                for t in range(n):
+                    assert (packed >> (lane * n + t)) & 1 == (words[t] >> lane) & 1
+            assert packed >> (width * n) == 0
+            assert bitplane.untranspose_words(packed, n, width) == words

@@ -1,6 +1,8 @@
 """Tests for the bus transition/energy model and the fetch tracer."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.bitstream import hamming
 from repro.isa.assembler import assemble
@@ -61,6 +63,42 @@ class TestTransitionCounting:
     def test_bad_address_rejected(self, looped_program):
         with pytest.raises(ValueError):
             count_trace_transitions(looped_program, [0])
+
+    @pytest.mark.parametrize(
+        "count", [count_trace_transitions, per_line_trace_transitions]
+    )
+    def test_end_and_misaligned_addresses_rejected(self, looped_program, count):
+        entry = looped_program.entry
+        for bad in (looped_program.text_end, entry + 2):
+            with pytest.raises(ValueError):
+                count(looped_program, [entry, bad])
+
+
+_WORD = st.one_of(st.sampled_from([0, 0xFFFFFFFF]), st.integers(0, 2**32 - 1))
+
+
+class TestAgainstNaivePopcount:
+    """Both counters against a per-pair popcount of the fetched words."""
+
+    @given(
+        image=st.lists(_WORD, min_size=5, max_size=5),
+        slots=st.lists(st.integers(0, 4), max_size=40),
+    )
+    @example(image=[0, 0xFFFFFFFF, 0, 0xFFFFFFFF, 0], slots=[])
+    @example(image=[0, 0xFFFFFFFF, 0, 0xFFFFFFFF, 0], slots=[1])
+    @example(image=[0, 0xFFFFFFFF, 0, 0xFFFFFFFF, 0], slots=[0, 1])
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match(self, looped_program, image, slots):
+        assert len(image) == len(looped_program.words)
+        trace = [looped_program.text_base + 4 * slot for slot in slots]
+        fetched = [image[slot] for slot in slots]
+        pairs = [a ^ b for a, b in zip(fetched, fetched[1:])]
+        assert count_trace_transitions(looped_program, trace, image) == sum(
+            bin(toggles).count("1") for toggles in pairs
+        )
+        assert per_line_trace_transitions(looped_program, trace, image) == [
+            sum((toggles >> line) & 1 for toggles in pairs) for line in range(32)
+        ]
 
 
 class TestImagePatching:
