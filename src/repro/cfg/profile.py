@@ -9,11 +9,11 @@ program code" (Section 6).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cfg.graph import ControlFlowGraph
+from repro.sim.bus import trace_histogram
 
 
 @dataclass
@@ -51,8 +51,10 @@ class BlockProfile:
 def profile_trace(
     cfg: ControlFlowGraph, addresses: Sequence[int]
 ) -> BlockProfile:
-    """Build a :class:`BlockProfile` from a fetch trace."""
-    per_address = Counter(addresses)
+    """Build a :class:`BlockProfile` from a fetch trace (its per-address
+    counts come from the memoised :func:`~repro.sim.bus.trace_histogram`
+    the bus counters share)."""
+    per_address = trace_histogram(addresses).fetch_counts()
     entry_counts: dict[int, int] = {}
     fetch_counts: dict[int, int] = {}
     for start, block in cfg.blocks.items():

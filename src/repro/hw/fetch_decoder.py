@@ -574,11 +574,13 @@ class FetchDecoder:
     ) -> list[int]:
         """Strict-mode bulk walk: one bitplane scan per clean
         sequential block occurrence, scalar :meth:`fetch` for
-        everything else.  Repeated occurrences of an unchanged block
-        (hot loops) reuse the decoded words via a per-trace memo keyed
-        on the stored words themselves."""
+        everything else.  Repeated occurrences of a block (hot loops)
+        reuse its decoded words through a per-trace memo keyed on
+        ``(tt_index, pc)``, taken only when the stored words gathered
+        this time equal the memoised ones."""
         out: list[int] = []
-        memo: dict[tuple, list[int]] = {}
+        memo: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        runs: dict[tuple[int, int], list[int]] = {}
         block_size = self.block_size
         index = 0
         total = len(addresses)
@@ -603,12 +605,11 @@ class FetchDecoder:
                 index += 1
                 continue
             count = entry.num_instructions
-            if (
-                count < 2
-                or index + count > total
-                or addresses[index : index + count]
-                != list(range(pc, pc + 4 * count, 4))
-            ):
+            expected = runs.get((pc, count))
+            if expected is None:
+                expected = runs[pc, count] = list(range(pc, pc + 4 * count, 4))
+            run = addresses[index : index + count]
+            if count < 2 or run != expected:
                 # Partial or truncated occurrence: hand the block to
                 # the scalar engine without re-probing the BBIT.
                 self._passthrough_run = False
@@ -622,12 +623,11 @@ class FetchDecoder:
                 out.append(self.fetch(pc, stored_image_lookup(pc)))
                 index += 1
                 continue
-            stored = list(
-                map(stored_image_lookup, addresses[index : index + count])
-            )
-            key = (entry.tt_index, pc, tuple(stored))
-            decoded_words = memo.get(key)
-            if decoded_words is None:
+            stored = list(map(stored_image_lookup, run))
+            cached = memo.get((entry.tt_index, pc))
+            if cached is not None and cached[0] == stored:
+                decoded_words = cached[1]
+            else:
                 num_segments = (count - 2) // (block_size - 1) + 1
                 plans = []
                 for segment in range(num_segments):
@@ -649,7 +649,7 @@ class FetchDecoder:
                         tuple(plans),
                         width=len(plans[0]),
                     )
-                memo[key] = decoded_words
+                memo[entry.tt_index, pc] = (stored, decoded_words)
             out.extend(decoded_words)
             # Architectural accounting identical to the per-fetch
             # walk: one TT read per non-anchor instruction, history =

@@ -59,6 +59,7 @@ EXPECTED_ENCODE_FAMILIES = (
     "decoder.bbit_lookups",
     "codec.bitplane_words_decoded",
     "bus.transitions_measured",
+    "bus.trace_histograms",
 )
 
 #: Metric families a ``repro serve --metrics`` run must populate —

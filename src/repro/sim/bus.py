@@ -3,18 +3,26 @@
 Power on a bus line is proportional to its toggle count times the line
 capacitance (the paper's premise, after [1]).  This module counts bit
 transitions over a fetch trace for an arbitrary memory image — the
-baseline image or the power-encoded one — with CPython big ints: the
-fetched words are packed into one integer, 32 bits per fetch, so a
-single XOR against itself shifted one word and one ``bit_count`` count
-every toggle of the trace in C.
+baseline image or the power-encoded one.
+
+The count depends on the trace only through how often each address is
+followed by each other address, and loop-dominated traces revisit a
+few dozen such pairs tens of thousands of times.  So a trace is first
+reduced to a :class:`TraceHistogram` — ``{(address, next address):
+count}`` plus its first and last address — and every count is a sum
+over the distinct pairs: ``n * popcount(word[a] ^ word[b])``.  The
+last histogram built is kept in a one-slot memo keyed by the trace's
+content, so profiling the trace, counting the baseline image and
+counting the encoded image (at every block size of a suite) build it
+once.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.isa.assembler import Program
 
@@ -26,34 +34,87 @@ def address_map(text_base: int, words: Sequence[int]) -> dict[int, int]:
     return dict(zip(range(text_base, text_base + 4 * len(words), 4), words))
 
 
-def _trace_toggles(
+class TraceHistogram(NamedTuple):
+    """A fetch trace reduced to what the bus counts depend on.
+
+    ``pairs`` maps ``(address, next address)`` to how often that step
+    occurs, in order of first occurrence; ``first``/``last`` are the
+    trace's end addresses (``None`` for an empty trace).  Shared
+    through the memo of :func:`trace_histogram`: treat as read-only.
+    """
+
+    pairs: dict[tuple[int, int], int]
+    first: int | None
+    last: int | None
+
+    def fetch_counts(self) -> Counter:
+        """How often each address is fetched, in order of first fetch."""
+        counts: Counter = Counter()
+        for (address, _), n in self.pairs.items():
+            counts[address] += n
+        if self.last is not None:
+            counts[self.last] += 1
+        return counts
+
+
+#: One-slot memo: ``(tuple copy of the trace, its histogram)``, stored
+#: and read as one object so a reader never pairs a key with another
+#: trace's value.
+_LAST_HISTOGRAM: tuple[tuple[int, ...], TraceHistogram] | None = None
+
+
+def trace_histogram(addresses: Sequence[int]) -> TraceHistogram:
+    """The :class:`TraceHistogram` of a fetch trace; a trace equal in
+    content to the previous call's reuses its histogram."""
+    global _LAST_HISTOGRAM
+    key = tuple(addresses)
+    memo = _LAST_HISTOGRAM
+    if memo is not None and memo[0] == key:
+        histogram = memo[1]
+        outcome = "reused"
+    else:
+        histogram = TraceHistogram(
+            Counter(zip(key, islice(key, 1, None))),
+            key[0] if key else None,
+            key[-1] if key else None,
+        )
+        _LAST_HISTOGRAM = (key, histogram)
+        outcome = "built"
+    from repro.obs import OBS
+
+    if OBS.enabled:
+        OBS.registry.counter(
+            "bus.trace_histograms",
+            "fetch-trace pair histograms built or reused from the memo",
+            outcome=outcome,
+        ).inc()
+    return histogram
+
+
+def _pair_toggles(
     program: Program,
     addresses: Sequence[int],
     image: Sequence[int] | None = None,
-) -> tuple[int, int]:
-    """Toggle vector of a fetch trace and its number of bus cycles.
+) -> list[tuple[int, int]]:
+    """``(toggled lines, occurrences)`` per distinct consecutive fetch
+    pair of a trace.
 
-    Word ``t`` of the result (bits ``[32t, 32t+32)``) is the XOR of the
-    ``t``-th and ``t+1``-th fetched words.  ``image`` overrides the
-    program's stored words (same layout); use it for the power-encoded
-    memory image.  An address outside the text, or not word-aligned,
-    raises :class:`ValueError`.
+    ``image`` overrides the program's stored words (same layout); use
+    it for the power-encoded memory image.  Every fetched address is
+    looked up, so one outside the text, or not word-aligned, raises
+    :class:`ValueError`.
     """
+    histogram = trace_histogram(addresses)
     stored = address_map(
         program.text_base, program.words if image is None else image
     )
     try:
-        # "I" is 32 bits on every platform CPython supports.
-        fetched = array("I", map(stored.__getitem__, addresses))
+        word = {a: stored[a] for a in histogram.fetch_counts()}
     except KeyError as exc:
         raise ValueError(
             f"trace address {exc.args[0]!r} is not a word of the text image"
         ) from None
-    cycles = len(fetched) - 1
-    if cycles < 1:
-        return 0, 0
-    x = int.from_bytes(fetched.tobytes(), sys.byteorder)
-    return (x ^ (x >> 32)) & ((1 << (32 * cycles)) - 1), cycles
+    return [(word[a] ^ word[b], n) for (a, b), n in histogram.pairs.items()]
 
 
 def count_trace_transitions(
@@ -62,7 +123,10 @@ def count_trace_transitions(
     image: Sequence[int] | None = None,
 ) -> int:
     """Total bit transitions on the instruction bus over a trace."""
-    total = _trace_toggles(program, addresses, image)[0].bit_count()
+    total = sum(
+        n * toggles.bit_count()
+        for toggles, n in _pair_toggles(program, addresses, image)
+    )
     from repro.obs import OBS
 
     if OBS.enabled:
@@ -88,10 +152,11 @@ def per_line_trace_transitions(
     width-1`` of the 32-bit bus)."""
     if not 0 <= width <= 32:
         raise ValueError(f"bus width {width} is not in 0..32")
-    toggles, cycles = _trace_toggles(program, addresses, image)
-    # One set bit per bus cycle, at line 0 of its 32-bit lane.
-    line0 = int.from_bytes(b"\x01\x00\x00\x00" * cycles, "little")
-    return [(toggles & (line0 << line)).bit_count() for line in range(width)]
+    pairs = _pair_toggles(program, addresses, image)
+    return [
+        sum(n for toggles, n in pairs if toggles >> line & 1)
+        for line in range(width)
+    ]
 
 
 @dataclass(frozen=True)

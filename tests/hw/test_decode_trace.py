@@ -11,6 +11,8 @@ passthrough gaps, truncation, and corrupted images.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import DecodeFault
@@ -94,6 +96,40 @@ def test_hot_loop_revisits_use_memo(block_size):
     assert bulk == scalar == _golden(deployment, trace)
     assert bulk_stats == scalar_stats
     assert bulk_stats["decoded"] == len(trace)
+
+
+@pytest.mark.parametrize("block_size", BLOCK_SIZES)
+def test_memo_rechecks_stored_words_per_occurrence(block_size):
+    # One stored word of an encoded block reads differently on the
+    # block's second occurrence only: that occurrence must decode from
+    # what was fetched, not from the first occurrence's memo entry.
+    deployment = seeded_deployment(f"drift:{block_size}", block_size)
+    once = deployment.trace_for(0)
+    victim = once[len(once) // 2]
+    trace = once * 3
+
+    def drifting_lookup():
+        seen = Counter()
+
+        def lookup(pc):
+            seen[pc] += 1
+            word = deployment.image[pc]
+            if pc == victim and seen[pc] == 2:
+                return word ^ 0xFFFFFFFF
+            return word
+
+        return lookup
+
+    walks = [
+        _decode(deployment, trace, drifting_lookup(), True, bulk)
+        for bulk in (True, False)
+    ]
+    (bulk_decoder, bulk), (scalar_decoder, scalar) = walks
+    assert bulk == scalar
+    assert _stats(bulk_decoder) == _stats(scalar_decoder)
+    golden = _golden(deployment, once)
+    assert bulk[: len(once)] == bulk[2 * len(once) :] == golden
+    assert bulk[len(once) : 2 * len(once)] != golden
 
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)

@@ -78,6 +78,16 @@ class TestEncodeReport:
         assert total("decoder.bbit_lookups") > 0
         assert total("sim.fetches") > 0
 
+    def test_trace_histogram_reused_within_flow(self, encode_report):
+        # profile, baseline count and encoded count share one trace
+        # histogram: at most one build, at least two reuses.
+        series = load_run_report(encode_report)["metrics"][
+            "bus.trace_histograms"
+        ]["series"]
+        by_outcome = {s["labels"]["outcome"]: s["value"] for s in series}
+        assert by_outcome.get("built", 0) <= 1
+        assert by_outcome["reused"] >= 2
+
     def test_spans_nest_flow_over_encode(self, encode_report):
         spans = load_run_report(encode_report)["trace"]["spans"]
         by_name = {s["name"]: s for s in spans}

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.bitstream import hamming
 from repro.core.transformations import ALL_TRANSFORMATIONS
+from repro.pipeline.bundle import EncodingBundle
 from repro.pipeline.flow import EncodingFlow
 from repro.sim.bus import count_trace_transitions
 from repro.sim.cpu import run_program
@@ -12,6 +14,15 @@ from repro.workloads.registry import build_workload
 @pytest.fixture(scope="module")
 def mmul_setup():
     workload = build_workload("mmul", n=10)
+    program = workload.assemble()
+    cpu, trace = run_program(program)
+    workload.verify(cpu)
+    return program, trace
+
+
+@pytest.fixture(scope="module")
+def fir_setup():
+    workload = build_workload("fir", taps=4, samples=24)
     program = workload.assemble()
     cpu, trace = run_program(program)
     workload.verify(cpu)
@@ -171,3 +182,37 @@ class TestReport:
         averages = summarize_results(results)
         assert set(averages) == {4, 5, 6, 7}
         assert all(0 <= v <= 100 for v in averages.values())
+
+
+class TestRunOrderIndependence:
+    """The bus counters share one memoised trace histogram across
+    flow runs; no run may see another trace's counts."""
+
+    @staticmethod
+    def _outcome(program, trace, k, name):
+        result = EncodingFlow(block_size=k).run(program, trace, name)
+        bundle = EncodingBundle.from_flow_result(program, result).to_json()
+        return (
+            result.baseline_transitions,
+            result.encoded_transitions,
+            result.encoded_image,
+            bundle,
+        )
+
+    def test_suite_order_and_interleaving(self, mmul_setup, fir_setup):
+        workloads = {"mmul": mmul_setup, "fir": fir_setup}
+        ks = (4, 5, 6, 7)
+        forward = {k: self._outcome(*mmul_setup, k, "mmul") for k in ks}
+        reverse = {
+            k: self._outcome(*mmul_setup, k, "mmul") for k in reversed(ks)
+        }
+        interleaved: dict = {}
+        for k in ks:
+            for name in ("fir", "mmul"):
+                interleaved[name, k] = self._outcome(*workloads[name], k, name)
+        assert reverse == forward
+        assert {k: interleaved["mmul", k] for k in ks} == forward
+        for name, (program, trace) in workloads.items():
+            fetched = [program.word_at(pc) for pc in trace]
+            naive = sum(hamming(a, b) for a, b in zip(fetched, fetched[1:]))
+            assert {interleaved[name, k][0] for k in ks} == {naive}

@@ -1,5 +1,7 @@
 """Tests for the bus transition/energy model and the fetch tracer."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.sim.bus import (
     count_trace_transitions,
     image_with_patches,
     per_line_trace_transitions,
+    trace_histogram,
 )
 from repro.sim.cpu import run_program
 from repro.sim.tracer import FetchTrace
@@ -99,6 +102,50 @@ class TestAgainstNaivePopcount:
         assert per_line_trace_transitions(looped_program, trace, image) == [
             sum((toggles >> line) & 1 for toggles in pairs) for line in range(32)
         ]
+
+
+def _naive_count(program, trace, image=None):
+    words = program.words if image is None else image
+    fetched = [words[(pc - program.text_base) >> 2] for pc in trace]
+    return sum(hamming(a, b) for a, b in zip(fetched, fetched[1:]))
+
+
+class TestTraceHistogramMemo:
+    """The one-slot histogram memo is keyed by trace content."""
+
+    def test_histogram_counts_pairs_and_fetches(self, looped_program):
+        cpu, trace = run_program(looped_program)
+        histogram = trace_histogram(trace)
+        assert histogram.pairs == Counter(zip(trace, trace[1:]))
+        assert (histogram.first, histogram.last) == (trace[0], trace[-1])
+        assert histogram.fetch_counts() == Counter(trace)
+        assert trace_histogram([]).fetch_counts() == Counter()
+
+    def test_in_place_mutation_is_recounted(self, looped_program):
+        cpu, trace = run_program(looped_program)
+        trace = list(trace)
+        first = count_trace_transitions(looped_program, trace)
+        assert first == _naive_count(looped_program, trace)
+        # Same list object, new content: an identity-keyed cache
+        # would return the stale count.
+        trace[1:3] = [looped_program.text_end - 4] * 2
+        second = count_trace_transitions(looped_program, trace)
+        assert second == _naive_count(looped_program, trace)
+        assert second != first
+
+    def test_interleaved_traces_keep_their_own_counts(self, looped_program):
+        cpu, a = run_program(looped_program)
+        base = looped_program.text_base
+        b = [base + 4 * slot for slot in (0, 3, 1, 3, 2, 4, 0)]
+        expected = {
+            "a": _naive_count(looped_program, a),
+            "b": _naive_count(looped_program, b),
+        }
+        assert expected["a"] != expected["b"]
+        for name, trace in (("a", a), ("b", b), ("a", a), ("b", list(b))):
+            assert count_trace_transitions(looped_program, trace) == (
+                expected[name]
+            )
 
 
 class TestImagePatching:
