@@ -48,6 +48,7 @@ REPORT_SCHEMA_VERSION = 1
 EXPECTED_ENCODE_FAMILIES = (
     "sim.instructions",
     "sim.fetches",
+    "sim.block_runs",
     "flow.runs",
     "flow.baseline_transitions",
     "flow.encoded_transitions",

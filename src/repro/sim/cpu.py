@@ -3,8 +3,13 @@
 The paper's baseline is "a typical embedded processor front-end, which
 fetches and executes instructions in order and one at a time"; this
 interpreter models exactly that.  Instructions are pre-compiled into
-Python closures once per program so multi-million-instruction
-workloads run in seconds.
+Python closures once per program, and the closures of each basic block
+are grouped into a *run*: the ops from an entry PC to the end of its
+block (ends come from :func:`repro.cfg.basic_blocks.find_leaders`),
+plus the ``range`` of their addresses.  :meth:`Cpu.run` then does one
+table lookup, one ``trace.extend`` and one step update per executed
+block, not per instruction, so multi-million-instruction workloads run
+in seconds while the fetch trace stays the per-instruction PC list.
 
 Architectural simplifications (documented in DESIGN.md): no branch
 delay slots (``jal`` links to ``pc + 4``), and each FP register holds
@@ -18,6 +23,7 @@ string at ``$a0``, 11 = print char, 10 = exit).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable
 
 from repro.isa.assembler import STACK_TOP, Program
@@ -50,6 +56,7 @@ class Cpu:
         self.pc = program.entry
         self.running = True
         self.steps = 0
+        self.block_runs = 0
         self.output: list[str] = []
         self.regs[SP] = STACK_TOP
         self.regs[GP] = (program.data_base + 0x8000) & MASK32
@@ -59,6 +66,9 @@ class Cpu:
         for i, word in enumerate(program.words):
             self.memory.write_u32(program.text_base + 4 * i, word)
         self._compiled = [self._compile(inst) for inst in program.instructions]
+        #: entry PC -> (ops, address range, length); see _run_at.
+        self._runs: dict[int, tuple[tuple, range, int]] = {}
+        self._leaders: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Execution
@@ -73,38 +83,67 @@ class Cpu:
 
         ``trace``, when given, receives every fetched PC in order —
         the raw material for the bus transition measurements.
+
+        Each dispatch executes one run (see :meth:`_run_at`).  A run
+        longer than the remaining ``max_steps`` budget is cut, so the
+        step guard fires on the exact instruction it did before and
+        leaves ``pc`` at the next one; a later :meth:`run` resumes
+        there.  If an op raises, the trace ends with the faulting PC
+        and ``pc`` stays on it.
         """
+        runs = self._runs
+        steps = 0
+        dispatches = 0
+        pc = self.pc
+        while self.running:
+            if steps >= max_steps:
+                raise CpuError(f"exceeded {max_steps} steps")
+            run = runs.get(pc)
+            if run is None:
+                run = self._run_at(pc)
+            ops, addresses, n = run
+            if steps + n > max_steps:
+                n = max_steps - steps
+                ops, addresses = ops[:n], addresses[:n]
+            try:
+                for op in ops:
+                    op(self)
+            except Exception:
+                # Ops raise before advancing pc, so self.pc is the
+                # faulting instruction: trace up to and including it.
+                if trace is not None:
+                    trace.extend(addresses[: ((self.pc - pc) >> 2) + 1])
+                raise
+            if trace is not None:
+                trace.extend(addresses)
+            steps += n
+            dispatches += 1
+            pc = self.pc
+        self.steps += steps
+        self.block_runs += dispatches
+        return steps
+
+    def _run_at(self, pc: int) -> tuple[tuple, range, int]:
+        """The run entered at ``pc``: the compiled ops from ``pc`` to
+        the end of its basic block, their addresses and their count.
+        Built on first entry, so a ``jr`` into the middle of a block
+        gets its own (shorter) run."""
         base = self.program.text_base
         end = self.program.text_end
-        compiled = self._compiled
-        steps = 0
-        pc = self.pc
-        if trace is None:
-            while self.running:
-                if steps >= max_steps:
-                    self.pc = pc
-                    raise CpuError(f"exceeded {max_steps} steps")
-                if pc < base or pc >= end or pc & 3:
-                    raise CpuError(f"PC out of text: {pc:#010x}")
-                self.pc = pc
-                compiled[(pc - base) >> 2](self)
-                pc = self.pc
-                steps += 1
-        else:
-            append = trace.append
-            while self.running:
-                if steps >= max_steps:
-                    self.pc = pc
-                    raise CpuError(f"exceeded {max_steps} steps")
-                if pc < base or pc >= end or pc & 3:
-                    raise CpuError(f"PC out of text: {pc:#010x}")
-                append(pc)
-                self.pc = pc
-                compiled[(pc - base) >> 2](self)
-                pc = self.pc
-                steps += 1
-        self.steps += steps
-        return steps
+        if pc < base or pc >= end or pc & 3:
+            raise CpuError(f"PC out of text: {pc:#010x}")
+        if self._leaders is None:
+            from repro.cfg.basic_blocks import find_leaders
+
+            self._leaders = sorted(find_leaders(self.program))
+        leaders = self._leaders
+        i = bisect_right(leaders, pc)
+        stop = leaders[i] if i < len(leaders) else end
+        first = (pc - base) >> 2
+        ops = tuple(self._compiled[first : (stop - base) >> 2])
+        run = (ops, range(pc, stop, 4), len(ops))
+        self._runs[pc] = run
+        return run
 
     def step(self) -> None:
         """Execute a single instruction (slow path, for tests)."""
@@ -544,11 +583,14 @@ def run_program(
     trace: list[int] = [] if with_trace else None  # type: ignore[assignment]
     with OBS.tracer.span("sim.run", instructions=len(program.words)) as span:
         cpu.run(max_steps=max_steps, trace=trace)
-        span.set(steps=cpu.steps)
+        span.set(steps=cpu.steps, block_runs=cpu.block_runs)
     if OBS.enabled:
         OBS.registry.counter(
             "sim.instructions", "instructions executed by the functional CPU"
         ).inc(cpu.steps)
+        OBS.registry.counter(
+            "sim.block_runs", "basic-block runs dispatched by the functional CPU"
+        ).inc(cpu.block_runs)
         OBS.registry.counter(
             "sim.fetches", "fetch addresses captured into traces"
         ).inc(len(trace) if with_trace else 0)

@@ -1,7 +1,9 @@
 """Byte-addressable paged memory for the simulator.
 
 Little-endian, lazily allocated 4 KiB pages, with typed accessors for
-the widths the ISA needs (8/16/32-bit integers and 64-bit doubles).
+the widths the ISA needs (8/16/32-bit integers and 32/64-bit floats).
+An access that fits in one page is one ``struct`` call on the page
+itself; only page-crossing accesses go through the byte loop.
 """
 
 from __future__ import annotations
@@ -11,6 +13,11 @@ import struct
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_F32 = struct.Struct("<f")
+_F64 = struct.Struct("<d")
 
 
 class MmioRegion:
@@ -42,11 +49,20 @@ class MmioRegion:
             self._write(address - self.base, value & 0xFFFFFFFF)
 
 
+class _Pages(dict):
+    """Page number -> page; the first touch of a page, read or write,
+    allocates it zeroed, so a lookup is one C-level subscript."""
+
+    def __missing__(self, number: int) -> bytearray:
+        page = self[number] = bytearray(PAGE_SIZE)
+        return page
+
+
 class Memory:
     """Sparse paged memory with optional MMIO windows."""
 
     def __init__(self) -> None:
-        self._pages: dict[int, bytearray] = {}
+        self._pages: dict[int, bytearray] = _Pages()
         self._mmio: list[MmioRegion] = []
 
     def add_mmio(self, region: MmioRegion) -> None:
@@ -64,13 +80,6 @@ class Memory:
                 return region
         return None
 
-    def _page(self, address: int) -> bytearray:
-        page = self._pages.get(address >> PAGE_SHIFT)
-        if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[address >> PAGE_SHIFT] = page
-        return page
-
     # ------------------------------------------------------------------
     # Raw byte access
     # ------------------------------------------------------------------
@@ -78,7 +87,7 @@ class Memory:
     def read_bytes(self, address: int, length: int) -> bytes:
         out = bytearray()
         while length:
-            page = self._page(address)
+            page = self._pages[address >> PAGE_SHIFT]
             offset = address & PAGE_MASK
             chunk = min(length, PAGE_SIZE - offset)
             out += page[offset : offset + chunk]
@@ -89,7 +98,7 @@ class Memory:
     def write_bytes(self, address: int, data: bytes) -> None:
         view = memoryview(data)
         while view:
-            page = self._page(address)
+            page = self._pages[address >> PAGE_SHIFT]
             offset = address & PAGE_MASK
             chunk = min(len(view), PAGE_SIZE - offset)
             page[offset : offset + chunk] = view[:chunk]
@@ -101,27 +110,33 @@ class Memory:
     # ------------------------------------------------------------------
 
     def read_u8(self, address: int) -> int:
-        return self._page(address)[address & PAGE_MASK]
+        return self._pages[address >> PAGE_SHIFT][address & PAGE_MASK]
 
     def write_u8(self, address: int, value: int) -> None:
-        self._page(address)[address & PAGE_MASK] = value & 0xFF
+        self._pages[address >> PAGE_SHIFT][address & PAGE_MASK] = value & 0xFF
 
     def read_u16(self, address: int) -> int:
-        return int.from_bytes(self.read_bytes(address, 2), "little")
+        offset = address & PAGE_MASK
+        if offset <= PAGE_SIZE - 2:
+            return _U16.unpack_from(self._pages[address >> PAGE_SHIFT], offset)[0]
+        return _U16.unpack(self.read_bytes(address, 2))[0]
 
     def write_u16(self, address: int, value: int) -> None:
-        self.write_bytes(address, (value & 0xFFFF).to_bytes(2, "little"))
+        offset = address & PAGE_MASK
+        if offset <= PAGE_SIZE - 2:
+            _U16.pack_into(self._pages[address >> PAGE_SHIFT], offset, value & 0xFFFF)
+        else:
+            self.write_bytes(address, _U16.pack(value & 0xFFFF))
 
     def read_u32(self, address: int) -> int:
         if self._mmio:
             region = self._mmio_at(address)
             if region is not None:
                 return region.read(address)
-        page_off = address & PAGE_MASK
-        if page_off <= PAGE_SIZE - 4:
-            page = self._page(address)
-            return int.from_bytes(page[page_off : page_off + 4], "little")
-        return int.from_bytes(self.read_bytes(address, 4), "little")
+        offset = address & PAGE_MASK
+        if offset <= PAGE_SIZE - 4:
+            return _U32.unpack_from(self._pages[address >> PAGE_SHIFT], offset)[0]
+        return _U32.unpack(self.read_bytes(address, 4))[0]
 
     def write_u32(self, address: int, value: int) -> None:
         if self._mmio:
@@ -129,12 +144,12 @@ class Memory:
             if region is not None:
                 region.write(address, value)
                 return
-        page_off = address & PAGE_MASK
-        data = (value & 0xFFFFFFFF).to_bytes(4, "little")
-        if page_off <= PAGE_SIZE - 4:
-            self._page(address)[page_off : page_off + 4] = data
+        offset = address & PAGE_MASK
+        if offset <= PAGE_SIZE - 4:
+            page = self._pages[address >> PAGE_SHIFT]
+            _U32.pack_into(page, offset, value & 0xFFFFFFFF)
         else:
-            self.write_bytes(address, data)
+            self.write_bytes(address, _U32.pack(value & 0xFFFFFFFF))
 
     def read_s8(self, address: int) -> int:
         value = self.read_u8(address)
@@ -145,16 +160,30 @@ class Memory:
         return value - 0x10000 if value & 0x8000 else value
 
     def read_f64(self, address: int) -> float:
-        return struct.unpack("<d", self.read_bytes(address, 8))[0]
+        offset = address & PAGE_MASK
+        if offset <= PAGE_SIZE - 8:
+            return _F64.unpack_from(self._pages[address >> PAGE_SHIFT], offset)[0]
+        return _F64.unpack(self.read_bytes(address, 8))[0]
 
     def write_f64(self, address: int, value: float) -> None:
-        self.write_bytes(address, struct.pack("<d", value))
+        offset = address & PAGE_MASK
+        if offset <= PAGE_SIZE - 8:
+            _F64.pack_into(self._pages[address >> PAGE_SHIFT], offset, value)
+        else:
+            self.write_bytes(address, _F64.pack(value))
 
     def read_f32(self, address: int) -> float:
-        return struct.unpack("<f", self.read_bytes(address, 4))[0]
+        offset = address & PAGE_MASK
+        if offset <= PAGE_SIZE - 4:
+            return _F32.unpack_from(self._pages[address >> PAGE_SHIFT], offset)[0]
+        return _F32.unpack(self.read_bytes(address, 4))[0]
 
     def write_f32(self, address: int, value: float) -> None:
-        self.write_bytes(address, struct.pack("<f", value))
+        offset = address & PAGE_MASK
+        if offset <= PAGE_SIZE - 4:
+            _F32.pack_into(self._pages[address >> PAGE_SHIFT], offset, value)
+        else:
+            self.write_bytes(address, _F32.pack(value))
 
     def read_cstring(self, address: int, limit: int = 4096) -> str:
         out = bytearray()

@@ -47,11 +47,9 @@ class FetchTrace:
     @classmethod
     def record(cls, program: Program, max_steps: int = 100_000_000) -> "FetchTrace":
         """Run the program and capture its fetch trace."""
-        from repro.sim.cpu import Cpu
+        from repro.sim.cpu import run_program
 
-        cpu = Cpu(program)
-        addresses: list[int] = []
-        cpu.run(max_steps=max_steps, trace=addresses)
+        cpu, addresses = run_program(program, max_steps=max_steps)
         trace = cls(program=program, addresses=addresses)
         trace.cpu = cpu  # type: ignore[attr-defined] - handy for tests
         return trace

@@ -78,6 +78,19 @@ class TestEncodeReport:
         assert total("decoder.bbit_lookups") > 0
         assert total("sim.fetches") > 0
 
+    def test_sim_block_runs_reported(self, encode_report):
+        # one dispatch per basic-block run: more than none, fewer than
+        # the fetches, and the sim.run span carries the same count
+        data = load_run_report(encode_report)
+
+        def total(name):
+            return sum(s["value"] for s in data["metrics"][name]["series"])
+
+        runs = total("sim.block_runs")
+        assert 0 < runs < total("sim.fetches")
+        spans = [s for s in data["trace"]["spans"] if s["name"] == "sim.run"]
+        assert sum(s["attrs"]["block_runs"] for s in spans) == runs
+
     def test_trace_histogram_reused_within_flow(self, encode_report):
         # profile, baseline count and encoded count share one trace
         # histogram: at most one build, at least two reuses.
